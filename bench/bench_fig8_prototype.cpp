@@ -90,9 +90,10 @@ BENCHMARK(BM_Fig8_WithFaultInjected)->Unit(benchmark::kMillisecond);
 
 void BM_Fig8_Mission(benchmark::State& state) {
   // Whole-mission rate through the run() front door, warp off (Arg 0) vs
-  // on (Arg 1). Fig. 8 partitions have real work every window, so the warp
-  // exploits only intra-window idle spans; the counters report how many
-  // ticks it could skip.
+  // on (Arg 1). Fig. 8 partitions have real work every window; the warp
+  // skips both intra-window idle spans and compute spans (the running
+  // process inside a compute op). The counters report how many ticks it
+  // could skip; CI gates the on/off ratio (bench/check_warp_speedup.py).
   const bool warp = state.range(0) != 0;
   scenarios::Fig8Options options;
   options.with_faulty_process = false;

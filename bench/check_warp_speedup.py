@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""CI gate: assert the time warp speeds up the idle-heavy scenario.
+"""CI gate: assert the time warp speeds up a warp-off/on benchmark pair.
 
-Reads a Google Benchmark JSON file containing BM_ModuleTick_IdleHeavy/0
-(warp off) and BM_ModuleTick_IdleHeavy/1 (warp on) and fails unless the
-warp-on sim_ticks_per_second is at least MIN_SPEEDUP x the warp-off rate.
+Reads a Google Benchmark JSON file containing BENCHMARK/0 (warp off) and
+BENCHMARK/1 (warp on) and fails unless the warp-on sim_ticks_per_second is
+at least MIN_SPEEDUP x the warp-off rate. Both rates come from the same
+run, so the ratio carries across hosts. BENCHMARK defaults to
+BM_ModuleTick_IdleHeavy.
 
-Usage: check_warp_speedup.py BENCH_module_tick.json [min_speedup]
+Usage: check_warp_speedup.py BENCH.json [min_speedup] [benchmark]
 """
 import json
 import sys
@@ -17,6 +19,7 @@ def main() -> int:
         return 2
     path = sys.argv[1]
     min_speedup = float(sys.argv[2]) if len(sys.argv) > 2 else 2.0
+    benchmark = sys.argv[3] if len(sys.argv) > 3 else "BM_ModuleTick_IdleHeavy"
 
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -24,7 +27,7 @@ def main() -> int:
     rates = {}
     for bench in data.get("benchmarks", []):
         name = bench.get("name", "")
-        if not name.startswith("BM_ModuleTick_IdleHeavy/"):
+        if not name.startswith(benchmark + "/"):
             continue
         if bench.get("run_type") == "aggregate":
             continue
@@ -35,13 +38,13 @@ def main() -> int:
             rates[arg] = max(rates.get(arg, 0.0), float(rate))
 
     if "0" not in rates or "1" not in rates:
-        print(f"error: {path} lacks BM_ModuleTick_IdleHeavy/0 and /1 "
+        print(f"error: {path} lacks {benchmark}/0 and /1 "
               f"(found: {sorted(rates)})", file=sys.stderr)
         return 2
 
     off, on = rates["0"], rates["1"]
     speedup = on / off if off > 0 else float("inf")
-    print(f"idle-heavy sim ticks/sec: warp off {off:.3e}, warp on {on:.3e} "
+    print(f"{benchmark} sim ticks/sec: warp off {off:.3e}, warp on {on:.3e} "
           f"-> speedup {speedup:.1f}x (gate: >= {min_speedup}x)")
     if speedup < min_speedup:
         print("error: time warp speedup below the gate", file=sys.stderr)

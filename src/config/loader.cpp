@@ -53,7 +53,14 @@ pos::Op parse_op(const Value& op) {
     return static_cast<std::int32_t>(op.get_int(key, 0));
   };
 
-  if (kind == "compute") return pos::OpCompute{op.get_int("ticks", 1)};
+  if (kind == "compute") {
+    const Ticks ticks = op.get_int("ticks", 1);
+    if (ticks < 1) {
+      fail("script op \"compute\": ticks must be >= 1, got " +
+           std::to_string(ticks));
+    }
+    return pos::OpCompute{ticks};
+  }
   if (kind == "periodic_wait") return pos::OpPeriodicWait{};
   if (kind == "sporadic_wait") return pos::OpSporadicWait{};
   if (kind == "release_process") {

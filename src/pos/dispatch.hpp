@@ -22,6 +22,7 @@
 #include "pos/generic_kernel.hpp"
 #include "pos/kernel.hpp"
 #include "pos/rt_kernel.hpp"
+#include "util/assert.hpp"
 
 namespace air::pos {
 
@@ -99,6 +100,37 @@ class KernelDispatch {
       return static_cast<KernelBase*>(iface_)->KernelBase::pcb(id);
     }
     return iface_->pcb(id);
+  }
+
+  [[nodiscard]] const ProcessControlBlock* pcb(ProcessId id) const {
+    if (kind_ != KernelKind::kVirtual) {
+      return static_cast<const KernelBase*>(iface_)->KernelBase::pcb(id);
+    }
+    return iface_->pcb(id);
+  }
+
+  // --- time-warp compute spans (DESIGN.md §7) ---
+
+  /// The process the next schedule() would elect, with no side effect.
+  /// Unknown kernels report invalid(): their policy cannot be peeked, so
+  /// the warp never spans their compute.
+  [[nodiscard]] ProcessId peek_heir() const {
+    switch (kind_) {
+      case KernelKind::kRt:
+        return static_cast<const RtKernel*>(iface_)->peek_heir();
+      case KernelKind::kGeneric:
+        return static_cast<const GenericKernel*>(iface_)->peek_heir();
+      case KernelKind::kVirtual:
+        break;
+    }
+    return ProcessId::invalid();
+  }
+
+  /// Bulk equivalent of `n` schedule() calls that re-elect the running
+  /// process; only valid when peek_heir() == current().
+  void count_repeat_dispatches(std::uint64_t n) {
+    AIR_ASSERT(kind_ != KernelKind::kVirtual);
+    static_cast<KernelBase*>(iface_)->count_repeat_dispatches(n);
   }
 
  private:

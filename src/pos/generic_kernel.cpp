@@ -13,21 +13,29 @@ void GenericKernel::dequeue_ready(ProcessControlBlock& pcb) {
   if (it != run_queue_.end()) run_queue_.erase(it);
 }
 
-ProcessId GenericKernel::pick_heir() {
+ProcessId GenericKernel::pick_heir() const {
   return run_queue_.empty() ? ProcessId::invalid() : run_queue_.front();
 }
 
+ProcessId GenericKernel::peek_heir() const {
+  // schedule() rotates a running head that has company to the tail.
+  if (current_.valid() && run_queue_.size() > 1 &&
+      run_queue_.front() == current_) {
+    return run_queue_[1];
+  }
+  return pick_heir();
+}
+
 ProcessId GenericKernel::schedule() {
-  if (run_queue_.empty()) {
+  const ProcessId heir = peek_heir();
+  if (!heir.valid()) {
     current_ = ProcessId::invalid();
     return current_;
   }
-  count_dispatch(run_queue_.front() != current_ ||
-                 (current_.valid() && run_queue_.size() > 1));
+  count_dispatch(heir != current_);
   // Round-robin: the previous head moves to the tail on every scheduling
   // decision, giving a one-tick time slice.
-  if (current_.valid() && run_queue_.size() > 1 &&
-      run_queue_.front() == current_) {
+  if (heir != run_queue_.front()) {
     run_queue_.pop_front();
     run_queue_.push_back(current_);
     ProcessControlBlock* prev = pcb(current_);
@@ -35,7 +43,7 @@ ProcessId GenericKernel::schedule() {
       set_state(*prev, ProcessState::kReady);
     }
   }
-  current_ = run_queue_.front();
+  current_ = heir;
   set_state(pcb_ref(current_), ProcessState::kRunning);
   return current_;
 }

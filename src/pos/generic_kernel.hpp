@@ -23,6 +23,10 @@ class GenericKernel final : public KernelBase {
 
   ProcessId schedule() override;
 
+  /// The process the next schedule() elects, without electing it (no
+  /// rotation, no state change, no counter); invalid() when none is ready.
+  [[nodiscard]] ProcessId peek_heir() const;
+
   /// Priorities are accepted (APEX requires the service) but do not affect
   /// scheduling order.
   void set_priority(ProcessId id, Priority priority) override;
@@ -40,7 +44,7 @@ class GenericKernel final : public KernelBase {
  protected:
   void enqueue_ready(ProcessControlBlock& pcb) override;
   void dequeue_ready(ProcessControlBlock& pcb) override;
-  [[nodiscard]] ProcessId pick_heir() override;
+  [[nodiscard]] ProcessId pick_heir() const override;
 
  private:
   std::deque<ProcessId> run_queue_;

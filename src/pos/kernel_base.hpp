@@ -56,6 +56,10 @@ class KernelBase : public IKernel {
   }
   [[nodiscard]] std::size_t ready_depth() const final;
 
+  /// Bulk equivalent of `n` schedule() calls that each re-elect the
+  /// running process (the time warp's compute spans, DESIGN.md §7).
+  void count_repeat_dispatches(std::uint64_t n) { dispatches_ += n; }
+
  protected:
   /// Subclass schedule() bookkeeping: an heir was selected; `switched`
   /// when it differs from the previously running process.
@@ -68,7 +72,7 @@ class KernelBase : public IKernel {
   virtual void enqueue_ready(ProcessControlBlock& pcb) = 0;
   virtual void dequeue_ready(ProcessControlBlock& pcb) = 0;
   /// Next process to run given the policy; invalid() when none ready.
-  [[nodiscard]] virtual ProcessId pick_heir() = 0;
+  [[nodiscard]] virtual ProcessId pick_heir() const = 0;
 
   void set_state(ProcessControlBlock& pcb, ProcessState state);
 

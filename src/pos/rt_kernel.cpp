@@ -25,7 +25,7 @@ void RtKernel::dequeue_ready(ProcessControlBlock& pcb) {
   }
 }
 
-ProcessId RtKernel::pick_heir() {
+ProcessId RtKernel::pick_heir() const {
   for (std::size_t word = 0; word < kWords; ++word) {
     if (occupancy_[word] != 0) {
       const auto bit =
@@ -36,17 +36,17 @@ ProcessId RtKernel::pick_heir() {
   return ProcessId::invalid();
 }
 
-ProcessId RtKernel::schedule() {
+ProcessId RtKernel::peek_heir() const {
   // With preemption locked, the current process runs on while schedulable.
   if (preemption_locked() && current_.valid()) {
     const ProcessControlBlock* cur = pcb(current_);
-    if (cur != nullptr && cur->schedulable()) {
-      count_dispatch(false);
-      return current_;
-    }
+    if (cur != nullptr && cur->schedulable()) return current_;
   }
+  return pick_heir();
+}
 
-  const ProcessId heir = pick_heir();
+ProcessId RtKernel::schedule() {
+  const ProcessId heir = peek_heir();
   if (!heir.valid()) {
     current_ = ProcessId::invalid();
     return heir;

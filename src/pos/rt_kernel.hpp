@@ -27,10 +27,14 @@ class RtKernel final : public KernelBase {
   ProcessId schedule() override;
   void set_priority(ProcessId id, Priority priority) override;
 
+  /// The process the next schedule() elects, without electing it (no state
+  /// change, no counter); invalid() when none is schedulable.
+  [[nodiscard]] ProcessId peek_heir() const;
+
  protected:
   void enqueue_ready(ProcessControlBlock& pcb) override;
   void dequeue_ready(ProcessControlBlock& pcb) override;
-  [[nodiscard]] ProcessId pick_heir() override;
+  [[nodiscard]] ProcessId pick_heir() const override;
 
  private:
   // One FIFO per priority level. The running process stays at the front of

@@ -188,6 +188,16 @@ OpOutcome apply_service(Module& module, apex::Apex& apex,
   return outcome;
 }
 
+/// The running process the next schedule() re-elects, or nullptr when it
+/// would elect another one (or none).
+const pos::ProcessControlBlock* repeat_heir(
+    const pos::KernelDispatch& kernel) {
+  const ProcessId pid = kernel.peek_heir();
+  if (!pid.valid() || pid != kernel.current()) return nullptr;
+  const pos::ProcessControlBlock* pcb = kernel.pcb(pid);
+  return pcb->state == pos::ProcessState::kRunning ? pcb : nullptr;
+}
+
 }  // namespace
 
 bool Executor::step(Module& module, PartitionId id, Ticks now) {
@@ -250,6 +260,30 @@ bool Executor::step(Module& module, PartitionId id, Ticks now) {
     }
   }
   // Service budget exhausted: the tick is charged to syscall overhead.
+  return true;
+}
+
+Ticks Executor::compute_headroom(const pal::Pal& pal) {
+  const pos::ProcessControlBlock* pcb = repeat_heir(pal.dispatch());
+  if (pcb == nullptr) return 0;
+  if (pcb->attrs.script.empty()) return kInfiniteTime;  // busy idle process
+  const auto* compute =
+      std::get_if<pos::OpCompute>(&pcb->attrs.script[pcb->pc]);
+  if (compute == nullptr) return 0;
+  // op_progress counts up from 0 to ticks, so the difference cannot
+  // overflow; a non-positive length completes on the very next tick.
+  const Ticks left = compute->ticks - pcb->op_progress;
+  return left > 1 ? left - 1 : 0;
+}
+
+bool Executor::advance(pal::Pal& pal, Ticks n) {
+  if (pal.kernel().ready_depth() == 0) return false;  // window slack
+  AIR_ASSERT_MSG(compute_headroom(pal) >= n,
+                 "time-warp span reaches the end of a compute op");
+  pos::KernelDispatch& kernel = pal.dispatch();
+  kernel.count_repeat_dispatches(static_cast<std::uint64_t>(n));
+  pos::ProcessControlBlock& pcb = *kernel.pcb(kernel.current());
+  if (!pcb.attrs.script.empty()) pcb.op_progress += n;
   return true;
 }
 

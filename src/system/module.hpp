@@ -93,8 +93,10 @@ class Module {
   [[nodiscard]] const WarpStats& warp_stats() const { return warp_stats_; }
 
   /// Number of upcoming ticks that are provably boring: the module is
-  /// quiescent (no runnable work, no pending context switch, no router
-  /// backlog, no pending telemetry sample) and no layer has an event before
+  /// quiescent (each active partition either has nothing runnable or keeps
+  /// re-electing a running process inside a compute op that does not
+  /// complete in the span; no pending context switch, no router backlog,
+  /// no pending telemetry sample) and no layer has an event before
   /// now() + headroom + 1. Returns 0 when any of that fails, when the
   /// module is stopped or not yet booted, or when the per-tick host
   /// profiler is enabled (it observes every stepped tick).

@@ -3,9 +3,12 @@
 // The paper's Algorithm 1 is built so the frequent case of the clock-tick
 // ISR does almost nothing ("two computations", Sect. 4.3). The simulation
 // exploits the same property wholesale: when a tick provably does nothing
-// but increment counters -- no preemption point, no runnable process, no
-// timer wake, no deadline edge, no channel movement, no telemetry sample --
-// the whole span of such ticks is collapsed into O(1) bulk advances.
+// but increment counters -- no preemption point, no process election other
+// than re-electing a running process inside a compute op, no timer wake, no
+// deadline edge, no channel movement, no telemetry sample -- the whole span
+// of such ticks is collapsed into O(1) bulk advances. A span ends before
+// the tick that completes a compute op: that tick moves the program
+// counter, so it is stepped.
 //
 // Correctness contract (asserted layer by layer, proven by the equivalence
 // suite in tests/test_time_warp.cpp): executing warp_advance(n) from a
@@ -20,6 +23,7 @@
 // boundary, and Algorithm 1 lines 3-7 run normally on the stepped tick.
 #include <algorithm>
 
+#include "system/executor.hpp"
 #include "system/module.hpp"
 #include "util/assert.hpp"
 
@@ -40,6 +44,9 @@ Ticks Module::warp_headroom() const {
   if (!router_.quiescent()) return 0;
 
   Ticks next_event = kInfiniteTime;
+  // Compute spans bound the headroom as a tick count, never as an absolute
+  // time: t + r would overflow for compute lengths near kInfiniteTime.
+  Ticks compute = kInfiniteTime;
   for (const Core& core : cores_) {
     // A not-yet-dispatched heir means the next tick context-switches.
     if (core.scheduler.heir_partition() !=
@@ -58,8 +65,12 @@ Ticks Module::warp_headroom() const {
 
     const pal::Pal& p = *partitions_[static_cast<std::size_t>(active.value())]
                              .pal;
-    // Runnable work: the executor would act this tick.
-    if (p.kernel().ready_depth() != 0) return 0;
+    // Runnable work: only ticks in which the executor re-elects the
+    // running process and advances its compute op may be spanned.
+    if (p.kernel().ready_depth() != 0) {
+      compute = std::min(compute, Executor::compute_headroom(p));
+      if (compute == 0) return 0;
+    }
     // A deadline record whose slack episode has not been sampled yet:
     // the next announce writes a histogram entry, so it must be stepped.
     if (p.slack_sample_pending()) return 0;
@@ -83,7 +94,7 @@ Ticks Module::warp_headroom() const {
   if (profiler_.enabled()) return 0;
 
   // Ticks t+1 .. next_event-1 are boring; the event tick itself is stepped.
-  const Ticks headroom = next_event - t - 1;
+  const Ticks headroom = std::min(next_event - t - 1, compute);
   return headroom > 0 ? headroom : 0;
 }
 
@@ -104,17 +115,22 @@ void Module::warp_advance(Ticks n) {
   }
 
   // PAL/POS: for each active NORMAL partition, one batched surrogate
-  // clock-tick announce (Algorithm 3 steady state, n deadline checks) and
-  // n slack ticks -- the executor would have found no runnable process.
+  // clock-tick announce (Algorithm 3 steady state, n deadline checks), then
+  // n executor steps in bulk: n busy ticks of the running process's
+  // compute op, or n slack ticks when nothing is runnable.
   for (Core& core : cores_) {
     const PartitionId active = core.dispatcher->active_partition();
     if (!active.valid()) continue;
     pmk::PartitionControlBlock& pcb =
         pcbs_[static_cast<std::size_t>(active.value())];
     if (pcb.mode != pmk::OperatingMode::kNormal) continue;
-    partitions_[static_cast<std::size_t>(active.value())].pal->advance_idle(
-        now(), n);
-    pcb.slack_ticks += n;
+    pal::Pal& pal = *partitions_[static_cast<std::size_t>(active.value())].pal;
+    pal.advance_idle(now(), n);
+    if (Executor::advance(pal, n)) {
+      pcb.busy_ticks += n;
+    } else {
+      pcb.slack_ticks += n;
+    }
   }
 
   warp_stats_.warped_ticks += static_cast<std::uint64_t>(n);

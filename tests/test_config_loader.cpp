@@ -2,6 +2,8 @@
 // module, name resolution, op table coverage, and error reporting.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "config/loader.hpp"
 #include "system/module.hpp"
 
@@ -133,6 +135,23 @@ TEST(ConfigLoader, UnknownOpIsAnError) {
   })");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error.find("warp_drive"), std::string::npos);
+}
+
+TEST(ConfigLoader, NonPositiveComputeIsAnError) {
+  for (const char* ticks : {"0", "-1", "-9223372036854775807"}) {
+    const std::string json = std::string{R"({
+    "partitions": [ { "name": "A", "processes": [
+      { "name": "p", "script": [ { "op": "compute", "ticks": )"} +
+                             ticks + R"( } ] } ] } ],
+    "schedules": [ { "id": 0, "mtf": 10,
+      "requirements": [ { "partition": "A", "period": 10, "duration": 10 } ],
+      "windows": [ { "partition": "A", "offset": 0, "duration": 10 } ] } ]
+  })";
+    const auto result = config::load_module_config(json);
+    ASSERT_FALSE(result.ok()) << "ticks " << ticks;
+    EXPECT_NE(result.error.find("compute"), std::string::npos) << result.error;
+    EXPECT_NE(result.error.find(ticks), std::string::npos) << result.error;
+  }
 }
 
 TEST(ConfigLoader, SyntaxErrorsCarryPosition) {

@@ -140,7 +140,7 @@ TEST_F(SchedulerTest, SwitchCallbackFires) {
   scheduler_.on_schedule_switch = [&](ScheduleId next, ScheduleId old) {
     switches.emplace_back(next.value(), old.value());
   };
-  scheduler_.request_schedule(ScheduleId{1});
+  ASSERT_TRUE(scheduler_.request_schedule(ScheduleId{1}));
   for (Ticks t = 0; t <= 100; ++t) scheduler_.tick();
   ASSERT_EQ(switches.size(), 1u);
   EXPECT_EQ(switches[0], (std::pair<std::int32_t, std::int32_t>{1, 0}));
@@ -163,14 +163,14 @@ TEST_F(SchedulerTest, SchedulesWithDifferentMtfs) {
   scheduler.set_initial_schedule(ScheduleId{0});
 
   scheduler.tick();  // t=0: enter the first MTF before requesting
-  scheduler.request_schedule(ScheduleId{1});
+  ASSERT_TRUE(scheduler.request_schedule(ScheduleId{1}));
   for (Ticks t = 1; t < 50; ++t) scheduler.tick();
   EXPECT_EQ(scheduler.status().current, ScheduleId{0});
   scheduler.tick();  // t=50: boundary of the 50-tick MTF
   EXPECT_EQ(scheduler.status().current, ScheduleId{1});
   EXPECT_EQ(scheduler.heir_partition(), PartitionId{1});
   // The new MTF is 80 ticks long: next boundary at 130.
-  scheduler.request_schedule(ScheduleId{0});
+  ASSERT_TRUE(scheduler.request_schedule(ScheduleId{0}));
   for (Ticks t = 51; t < 130; ++t) {
     scheduler.tick();
     ASSERT_EQ(scheduler.status().current, ScheduleId{1}) << "t=" << t;
