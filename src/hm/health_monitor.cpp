@@ -161,7 +161,7 @@ void HealthMonitor::note_span(const ErrorReport& report) {
                   report.partition.valid() ? report.partition.value() : -1,
                   report.process.valid() ? report.process.value() : -1,
                   static_cast<std::int64_t>(report.code),
-                  std::string{to_string(report.action_taken)});
+                  to_string(report.action_taken));
 }
 
 void HealthMonitor::execute(const ErrorReport& report) {

@@ -58,16 +58,12 @@ class Pal {
   /// kInfiniteTime when neither is armed.
   [[nodiscard]] Ticks next_attention_tick() const;
 
-  /// True when the next announce would sample the deadline-slack histogram
-  /// (a record heads the registry whose episode has not been observed yet).
-  /// Such a tick must be stepped, not warped, to keep metrics byte-identical.
-  [[nodiscard]] bool slack_sample_pending() const;
-
   /// Bulk equivalent of `elapsed` quiescent announce_ticks calls ending at
-  /// `now`. Preconditions (checked): no timer wake and no deadline violation
-  /// occurs in the span, and no slack sample is pending. Replicates the
-  /// per-tick counter effects exactly: one POS announce to `now`, plus
-  /// `elapsed` steady-state deadline checks.
+  /// `now`. Precondition (checked): no timer wake and no deadline violation
+  /// occurs in the span. Replicates the per-tick effects exactly: one POS
+  /// announce to `now`, `elapsed` steady-state deadline checks and, when
+  /// the earliest deadline's episode has not been sampled yet, the slack
+  /// sample the span's first announce would have taken.
   void advance_idle(Ticks now, Ticks elapsed);
 
   /// PAL private interface used by APEX services to register/update a
@@ -133,6 +129,9 @@ class Pal {
   }
 
  private:
+  /// Sample `rec`'s slack at tick `at` into the deadline-slack histogram,
+  /// once per deadline episode (no-op for an episode already sampled).
+  void sample_slack(const DeadlineRecord* rec, Ticks at);
   void note_registry_depth();
   void close_job_span(ProcessId pid, Ticks at, telemetry::SpanStatus status);
 

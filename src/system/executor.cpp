@@ -273,17 +273,25 @@ Ticks Executor::compute_headroom(const pal::Pal& pal) {
   // op_progress counts up from 0 to ticks, so the difference cannot
   // overflow; a non-positive length completes on the very next tick.
   const Ticks left = compute->ticks - pcb->op_progress;
-  return left > 1 ? left - 1 : 0;
+  return left > 1 ? left : 1;
 }
 
 bool Executor::advance(pal::Pal& pal, Ticks n) {
   if (pal.kernel().ready_depth() == 0) return false;  // window slack
   AIR_ASSERT_MSG(compute_headroom(pal) >= n,
-                 "time-warp span reaches the end of a compute op");
+                 "time-warp span runs past the end of a compute op");
   pos::KernelDispatch& kernel = pal.dispatch();
   kernel.count_repeat_dispatches(static_cast<std::uint64_t>(n));
   pos::ProcessControlBlock& pcb = *kernel.pcb(kernel.current());
-  if (!pcb.attrs.script.empty()) pcb.op_progress += n;
+  if (pcb.attrs.script.empty()) return true;  // busy idle process
+  // The span may end on the op's completing tick: move on exactly as
+  // step() does on that tick.
+  pcb.op_progress += n;
+  if (pcb.op_progress >= std::get<pos::OpCompute>(pcb.attrs.script[pcb.pc])
+                             .ticks) {
+    pcb.op_progress = 0;
+    pcb.pc = (pcb.pc + 1) % pcb.attrs.script.size();
+  }
   return true;
 }
 

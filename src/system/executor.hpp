@@ -31,16 +31,19 @@ class Executor {
 
   /// Upcoming ticks in which step() would provably do nothing but
   /// re-elect the partition's running process and advance its OpCompute:
-  /// r - 1 for a compute op with r ticks left (the completing tick moves
-  /// the program counter, so it is stepped), kInfiniteTime for a
-  /// script-less busy process, 0 when the next step() would elect another
-  /// process, interpret a service or find nothing schedulable.
+  /// r for a compute op with r ticks left (the completing tick only moves
+  /// the program counter, which records nothing, so advance() does it in
+  /// bulk), kInfiniteTime for a script-less busy process, 0 when the next
+  /// step() would elect another process, interpret a service or find
+  /// nothing schedulable.
   [[nodiscard]] static Ticks compute_headroom(const pal::Pal& pal);
 
   /// Bulk equivalent of `n` step() calls: `n` repeat dispatches and `n`
-  /// ticks of compute progress. `n` must not exceed compute_headroom()
-  /// unless nothing is schedulable. Returns step()'s verdict: false (window
-  /// slack, nothing advanced) when no process is schedulable.
+  /// ticks of compute progress, completing the op (program counter to the
+  /// next op) when the span reaches its last tick. `n` must not exceed
+  /// compute_headroom() unless nothing is schedulable. Returns step()'s
+  /// verdict: false (window slack, nothing advanced) when no process is
+  /// schedulable.
   static bool advance(pal::Pal& pal, Ticks n);
 
   /// Upper bound of zero-time service calls interpreted per tick before the

@@ -525,32 +525,31 @@ std::size_t Module::core_of(PartitionId partition) const {
 void Module::run(Ticks ticks) {
   if (ticks <= 0) return;  // explicit no-op
   Ticks done = 0;
-  while (done < ticks && !stopped_) {
-    if (time_warp_) {
-      const Ticks n = std::min(warp_headroom(), ticks - done);
-      if (n > 0) {
-        warp_advance(n);
-        done += n;
-        continue;
-      }
-    }
-    tick_once();
-    ++done;
-  }
+  while (done < ticks && !stopped_) done += advance_at_most(ticks - done);
 }
 
 void Module::run_until(Ticks time) {
   if (time <= now()) return;  // explicit no-op for now/past targets
-  while (now() < time && !stopped_) {
-    if (time_warp_) {
-      const Ticks n = std::min(warp_headroom(), time - now());
-      if (n > 0) {
-        warp_advance(n);
-        continue;
-      }
+  while (now() < time && !stopped_) advance_at_most(time - now());
+}
+
+Ticks Module::advance_at_most(Ticks limit) {
+  if (time_warp_) {
+    const Ticks headroom = warp_headroom();
+    const Ticks n = std::min(headroom, limit);
+    if (n > 0) {
+      warp_advance(n);
+      // A span cut short by `limit` ends on a tick the next scan may warp.
+      if (n < headroom || n == limit) return n;
+      // The span used all of its headroom, so the tick after it is where
+      // something happens: step it without scanning again (stepping is
+      // always exact).
+      tick_once();
+      return n + 1;
     }
-    tick_once();
   }
+  tick_once();
+  return 1;
 }
 
 PartitionId Module::partition_id(std::string_view name) const {
@@ -888,24 +887,21 @@ void Module::build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
   anomaly.process = pid.value();
   anomaly.deadline = deadline;
 
+  // Links are plain data (cause token, span, tick, integer operands):
+  // cause_detail() renders their text only when the chain is exported.
+  using telemetry::CauseKind;
   const telemetry::Span job = spans_.last_ended(telemetry::SpanKind::kJob);
   const bool job_matches =
       job.id != 0 && job.a == id.value() && job.b == pid.value() &&
       job.status == telemetry::SpanStatus::kDeadlineMiss;
-  anomaly.chain.push_back({spans_.intern("deadline_miss"),
-                           job_matches ? job.id : 0, detected_at,
-                           spans_.intern("deadline " +
-                                         std::to_string(deadline) +
-                                         " expired for process " +
-                                         std::to_string(pid.value()))});
+  anomaly.chain.push_back({CauseKind::kDeadlineMiss, job_matches ? job.id : 0,
+                           detected_at, deadline, pid.value()});
   if (!job_matches) {
-    spans_.add_anomaly(std::move(anomaly));
+    spans_.add_anomaly(anomaly);
     return;
   }
   anomaly.chain.push_back(
-      {spans_.intern("job_released"), job.id, job.start,
-       spans_.intern("job released at " + std::to_string(job.start) +
-                     " in partition " + std::to_string(id.value()))});
+      {CauseKind::kJobReleased, job.id, job.start, job.start, id.value()});
 
   // Was the partition's window closed between release and detection? Then
   // the miss was (at least partly) a preemption blackout: the partition
@@ -915,14 +911,9 @@ void Module::build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
   if (w.id != 0 && w.end > job.start && w.end <= detected_at) {
     causal_link = true;
     anomaly.chain.push_back(
-        {spans_.intern("window_end_preemption"), w.id, w.end,
-         spans_.intern("partition window closed at " +
-                       std::to_string(w.end))});
+        {CauseKind::kWindowEndPreemption, w.id, w.end, w.end});
     if (deadline >= w.end) {
-      anomaly.chain.push_back(
-          {spans_.intern("partition_inactive"), 0, detected_at,
-           spans_.intern(
-               "deadline expired while the partition was not scheduled")});
+      anomaly.chain.push_back({CauseKind::kPartitionInactive, 0, detected_at});
     }
     // Did a schedule switch take effect in that gap? Then the blackout came
     // from mode change, and its parent span says who requested it.
@@ -930,28 +921,19 @@ void Module::build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
         spans_.last_ended(telemetry::SpanKind::kScheduleSwitch);
     if (sw.id != 0 && sw.end > job.start && sw.end <= detected_at) {
       anomaly.chain.push_back(
-          {spans_.intern("schedule_switch"), sw.id, sw.end,
-           spans_.intern("schedule " + std::to_string(sw.b) + " -> " +
-                         std::to_string(sw.a) + " took effect at " +
-                         std::to_string(sw.end))});
+          {CauseKind::kScheduleSwitch, sw.id, sw.end, sw.b, sw.a, sw.end});
       if (sw.parent != 0) {
         anomaly.chain.push_back(
-            {spans_.intern("requested_by"), sw.parent, sw.start,
-             spans_.intern("SET_MODULE_SCHEDULE issued at " +
-                           std::to_string(sw.start))});
+            {CauseKind::kRequestedBy, sw.parent, sw.start, sw.start});
       }
     }
   }
   if (!causal_link) {
     // No external event stole the processor: the job simply ran past its
     // time capacity inside its own window.
-    anomaly.chain.push_back(
-        {spans_.intern("capacity_overrun"), job.id, detected_at,
-         spans_.intern(
-             "no preemption between release and miss; job exceeded its "
-             "time capacity")});
+    anomaly.chain.push_back({CauseKind::kCapacityOverrun, job.id, detected_at});
   }
-  spans_.add_anomaly(std::move(anomaly));
+  spans_.add_anomaly(anomaly);
 }
 
 }  // namespace air::system

@@ -139,7 +139,7 @@ class Module {
   [[nodiscard]] const telemetry::HostProfiler& profiler() const {
     return profiler_;
   }
-  /// Arena backing span/trace labels and root-cause strings. Module-owned
+  /// Arena backing span and trace labels. Module-owned
   /// so both recorders share symbols and its stats() describe the whole
   /// telemetry plane (status_report, profiler allocation attribution).
   [[nodiscard]] const telemetry::StringArena& arena() const { return arena_; }
@@ -234,6 +234,10 @@ class Module {
   void wire_partition(PartitionId id);
   void apply_pending_change_action(PartitionId id);
   void step_active_partition(PartitionId id, Ticks elapsed);
+  /// One warp span (when enabled) plus the stepped tick that ends it, or
+  /// one stepped tick; never more than `limit` (> 0) ticks. Returns the
+  /// ticks advanced. The shared core of run() and run_until().
+  Ticks advance_at_most(Ticks limit);
   /// warp_headroom() when `compute_spans`, else idle_headroom().
   [[nodiscard]] Ticks headroom(bool compute_spans) const;
   /// Walk the span recorder's causal caches backwards from a just-detected

@@ -2,13 +2,17 @@
 //
 // The paper's Algorithm 1 is built so the frequent case of the clock-tick
 // ISR does almost nothing ("two computations", Sect. 4.3). The simulation
-// exploits the same property wholesale: when a tick provably does nothing
-// but increment counters -- no preemption point, no process election other
-// than re-electing a running process inside a compute op, no timer wake, no
-// deadline edge, no channel movement, no telemetry sample -- the whole span
-// of such ticks is collapsed into O(1) bulk advances. A span ends before
-// the tick that completes a compute op: that tick moves the program
-// counter, so it is stepped.
+// exploits the same property wholesale. The rule: a tick is stepped only
+// if it records something (a trace event, a span, an HM report, a message
+// movement, a digest) or if the scan cannot prove it silent without
+// interpreting an op. A tick that provably does nothing but move state
+// the bulk advance can replay -- no preemption point, no process election
+// other than re-electing a running process inside a compute op, no timer
+// wake, no deadline edge, no channel movement -- is collapsed with the rest
+// of its span into O(1) bulk advances. Two per-tick effects ride along in
+// bulk: a span may end on the tick that completes a compute op (the
+// executor moves the program counter), and the PAL takes the slack sample
+// of a deadline episode that starts just before the span.
 //
 // Correctness contract (asserted layer by layer, proven by the equivalence
 // suite in tests/test_time_warp.cpp): executing warp_advance(n) from a
@@ -76,9 +80,6 @@ Ticks Module::headroom(bool compute_spans) const {
       compute = std::min(compute, Executor::compute_headroom(p));
       if (compute == 0) return 0;
     }
-    // A deadline record whose slack episode has not been sampled yet:
-    // the next announce writes a histogram entry, so it must be stepped.
-    if (p.slack_sample_pending()) return 0;
     next_event = std::min(next_event, p.next_attention_tick());
   }
 
@@ -120,9 +121,10 @@ void Module::warp_advance(Ticks n) {
   }
 
   // PAL/POS: for each active NORMAL partition, one batched surrogate
-  // clock-tick announce (Algorithm 3 steady state, n deadline checks), then
-  // n executor steps in bulk: n busy ticks of the running process's
-  // compute op, or n slack ticks when nothing is runnable.
+  // clock-tick announce (Algorithm 3 steady state, n deadline checks, the
+  // episode's slack sample), then n executor steps in bulk: n busy ticks of
+  // the running process's compute op, or n slack ticks when nothing is
+  // runnable.
   for (Core& core : cores_) {
     const PartitionId active = core.dispatcher->active_partition();
     if (!active.valid()) continue;

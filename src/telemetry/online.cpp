@@ -81,7 +81,9 @@ void OnlinePlane::close_window(Ticks now, const OnlineSample& sample) {
             break;
           }
         }
-        if (it->chain.size() > 1) via = " via " + it->chain.back().what.str();
+        if (it->chain.size() > 1) {
+          via = " via " + std::string{to_string(it->chain.back().what)};
+        }
         break;
       }
     }

@@ -38,6 +38,44 @@ std::string_view to_string(SpanStatus status) {
   return "unknown";
 }
 
+std::string_view to_string(CauseKind kind) {
+  switch (kind) {
+    case CauseKind::kDeadlineMiss: return "deadline_miss";
+    case CauseKind::kJobReleased: return "job_released";
+    case CauseKind::kWindowEndPreemption: return "window_end_preemption";
+    case CauseKind::kPartitionInactive: return "partition_inactive";
+    case CauseKind::kScheduleSwitch: return "schedule_switch";
+    case CauseKind::kRequestedBy: return "requested_by";
+    case CauseKind::kCapacityOverrun: return "capacity_overrun";
+  }
+  return "unknown";
+}
+
+std::string cause_detail(const CauseLink& link) {
+  using std::to_string;
+  switch (link.what) {
+    case CauseKind::kDeadlineMiss:
+      return "deadline " + to_string(link.x) + " expired for process " +
+             to_string(link.y);
+    case CauseKind::kJobReleased:
+      return "job released at " + to_string(link.x) + " in partition " +
+             to_string(link.y);
+    case CauseKind::kWindowEndPreemption:
+      return "partition window closed at " + to_string(link.x);
+    case CauseKind::kPartitionInactive:
+      return "deadline expired while the partition was not scheduled";
+    case CauseKind::kScheduleSwitch:
+      return "schedule " + to_string(link.x) + " -> " + to_string(link.y) +
+             " took effect at " + to_string(link.z);
+    case CauseKind::kRequestedBy:
+      return "SET_MODULE_SCHEDULE issued at " + to_string(link.x);
+    case CauseKind::kCapacityOverrun:
+      return "no preemption between release and miss; job exceeded its "
+             "time capacity";
+  }
+  return {};
+}
+
 namespace {
 
 bool is_message_kind(SpanKind kind) {
@@ -50,11 +88,16 @@ bool is_message_kind(SpanKind kind) {
 void SpanRecorder::set_capacity(std::size_t capacity) {
   capacity_ = capacity;
   if (capacity_ == 0) {
-    // Back to unbounded: materialise the ring into the vector and drop it.
+    // Back to unbounded: materialise the rings into the vectors, drop them.
     if (ring_ != nullptr) {
-      closed();  // refresh the view
+      (void)closed();  // refresh the view
       ring_.reset();
       view_dirty_ = false;
+    }
+    if (anomaly_ring_ != nullptr) {
+      (void)anomalies();
+      anomaly_ring_.reset();
+      anomaly_view_dirty_ = false;
     }
     return;
   }
@@ -65,6 +108,18 @@ void SpanRecorder::set_capacity(std::size_t capacity) {
   ring_ = std::move(ring);
   closed_.clear();
   view_dirty_ = true;
+
+  if (anomalies().empty()) {
+    anomaly_ring_.reset();  // the first miss creates it at this capacity
+    return;
+  }
+  auto anomaly_ring = std::make_unique<util::RingBuffer<Anomaly>>(capacity_);
+  for (const Anomaly& anomaly : anomalies()) {
+    if (anomaly_ring->push_overwrite(anomaly)) ++dropped_anomalies_;
+  }
+  anomaly_ring_ = std::move(anomaly_ring);
+  anomalies_.clear();
+  anomaly_view_dirty_ = true;
 }
 
 InternedString SpanRecorder::intern(std::string_view text) {
@@ -163,9 +218,29 @@ Span SpanRecorder::last_ended(SpanKind kind) const {
   return last_ended_[static_cast<std::size_t>(kind)];
 }
 
-void SpanRecorder::add_anomaly(Anomaly anomaly) {
+void SpanRecorder::add_anomaly(const Anomaly& anomaly) {
   if (!enabled_) return;
-  anomalies_.push_back(std::move(anomaly));
+  if (capacity_ == 0) {
+    anomalies_.push_back(anomaly);
+    return;
+  }
+  if (anomaly_ring_ == nullptr) {
+    anomaly_ring_ = std::make_unique<util::RingBuffer<Anomaly>>(capacity_);
+  }
+  if (anomaly_ring_->push_overwrite(anomaly)) ++dropped_anomalies_;
+  anomaly_view_dirty_ = true;
+}
+
+const std::vector<Anomaly>& SpanRecorder::anomalies() const {
+  if (anomaly_ring_ != nullptr && anomaly_view_dirty_) {
+    anomalies_.clear();
+    anomalies_.reserve(anomaly_ring_->size());
+    for (std::size_t i = 0; i < anomaly_ring_->size(); ++i) {
+      anomalies_.push_back(anomaly_ring_->at(i));
+    }
+    anomaly_view_dirty_ = false;
+  }
+  return anomalies_;
 }
 
 const Span* SpanRecorder::find_open(SpanId id) const {
@@ -193,6 +268,9 @@ void SpanRecorder::clear() {
   pending_cause_ = 0;
   pending_switch_ = 0;
   anomalies_.clear();
+  anomaly_ring_.reset();
+  anomaly_view_dirty_ = false;
+  dropped_anomalies_ = 0;
 }
 
 const std::vector<Span>& SpanRecorder::closed() const {
@@ -274,10 +352,10 @@ Value anomaly_to_value(const Anomaly& anomaly) {
   Array chain;
   for (const CauseLink& link : anomaly.chain) {
     Object step;
-    step["what"] = Value{link.what.str()};
+    step["what"] = Value{std::string{to_string(link.what)}};
     step["span"] = Value{static_cast<std::int64_t>(link.span)};
     step["at"] = Value{link.at};
-    if (!link.detail.empty()) step["detail"] = Value{link.detail.str()};
+    step["detail"] = Value{cause_detail(link)};
     chain.push_back(Value{std::move(step)});
   }
   row["chain"] = Value{std::move(chain)};
@@ -302,6 +380,12 @@ std::string spans_to_json(const SpanRecorder& spans, int indent) {
   meta["recorded"] = Value{static_cast<std::int64_t>(spans.recorded_spans())};
   meta["dropped"] = Value{static_cast<std::int64_t>(spans.dropped_spans())};
   meta["open"] = Value{static_cast<std::int64_t>(spans.open_count())};
+  // Only present once a bounded recorder evicted an anomaly, so exports of
+  // unbounded and short bounded flights keep their established shape.
+  if (spans.dropped_anomalies() > 0) {
+    meta["dropped_anomalies"] =
+        Value{static_cast<std::int64_t>(spans.dropped_anomalies())};
+  }
 
   Array rows;
   for (const Span& span : all) rows.push_back(span_to_value(span));

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "telemetry/arena.hpp"
+#include "util/fixed_vector.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/trace.hpp"
 #include "util/types.hpp"
@@ -82,25 +83,47 @@ struct Span {
   InternedString label;
 };
 
-/// One step of a root-cause chain. `what` is a token of the chain grammar
-/// (DESIGN.md "Observability"): deadline_miss, job_released,
-/// window_end_preemption, partition_inactive, schedule_switch, requested_by.
-/// Both strings live in the recorder's arena (SpanRecorder::intern).
+/// Token of the root-cause chain grammar (DESIGN.md "Observability"). A
+/// closed set: chains are built as data at detection time and only
+/// rendered to text when exported or printed.
+enum class CauseKind : std::uint8_t {
+  kDeadlineMiss = 0,     // x = deadline, y = process
+  kJobReleased,          // x = release tick, y = partition
+  kWindowEndPreemption,  // x = window end
+  kPartitionInactive,    // no operands
+  kScheduleSwitch,       // x = old schedule, y = new schedule, z = tick
+  kRequestedBy,          // x = request tick
+  kCapacityOverrun,      // no operands
+};
+
+[[nodiscard]] std::string_view to_string(CauseKind kind);
+
+/// One step of a root-cause chain: a cause token, the causal span it points
+/// at and up to three integer operands that cause_detail() renders.
+/// Trivially copyable -- building a chain neither formats nor allocates.
 struct CauseLink {
-  InternedString what;
+  CauseKind what{CauseKind::kDeadlineMiss};
   SpanId span{0};  // causal span the link points at (0 = none recorded)
   Ticks at{-1};
-  InternedString detail;
+  std::int64_t x{0};
+  std::int64_t y{0};
+  std::int64_t z{0};
 };
+
+/// Human-readable detail of `link` ("deadline 1200 expired for process 3").
+[[nodiscard]] std::string cause_detail(const CauseLink& link);
 
 /// A deadline miss with its root-cause chain, built at detection time by
 /// walking the recorder's causal caches backwards.
 struct Anomaly {
+  /// Longest chain build_miss_anomaly can produce: miss, release, window
+  /// end, inactive partition, schedule switch, its request.
+  static constexpr std::size_t kMaxChain = 6;
   Ticks detected_at{0};
   std::int32_t partition{-1};
   std::int32_t process{-1};
   Ticks deadline{-1};
-  std::vector<CauseLink> chain;  // first link is always the miss itself
+  util::FixedVector<CauseLink, kMaxChain> chain;  // first link: the miss
 };
 
 class SpanRecorder {
@@ -116,8 +139,9 @@ class SpanRecorder {
   /// Reserved origin for the World's bus-transit recorder.
   static constexpr std::uint32_t kBusOrigin = 0xFFFF;
 
-  /// Bounded mode: retain at most `capacity` closed spans (newest win);
-  /// evictions are counted exactly in dropped_spans(). 0 = unbounded.
+  /// Bounded mode: retain at most `capacity` closed spans and `capacity`
+  /// anomalies (newest win); evictions are counted exactly in
+  /// dropped_spans() / dropped_anomalies(). 0 = unbounded.
   void set_capacity(std::size_t capacity);
 
   /// Mirror every span retirement into `trace` as a debug-severity kSpan
@@ -126,13 +150,11 @@ class SpanRecorder {
   void set_trace(util::Trace* trace) { trace_ = trace; }
 
   /// Use `arena` (borrowed, must outlive this recorder and every retained
-  /// span/anomaly) for label storage instead of the lazily created private
-  /// one. Call before the first labelled span is recorded.
+  /// span) for label storage instead of the lazily created private one.
+  /// Call before the first labelled span is recorded.
   void set_arena(StringArena* arena) { arena_ = arena; }
-  /// Arena backing labels and cause links (nullptr until first intern).
+  /// Arena backing span labels (nullptr until first intern).
   [[nodiscard]] const StringArena* arena() const { return arena_; }
-  /// Intern free text (labels, CauseLink what/detail) into the arena.
-  InternedString intern(std::string_view text);
 
   /// Open a span. Returns 0 when disabled. Message-kind spans passed
   /// trace_id 0 become their own flow root (trace_id = id).
@@ -184,9 +206,14 @@ class SpanRecorder {
     return id;
   }
 
-  void add_anomaly(Anomaly anomaly);
-  [[nodiscard]] const std::vector<Anomaly>& anomalies() const {
-    return anomalies_;
+  void add_anomaly(const Anomaly& anomaly);
+  /// Retained anomalies, in detection order. Like closed(): a lazily
+  /// materialised view of the ring in bounded mode, the backing vector
+  /// itself in unbounded mode.
+  [[nodiscard]] const std::vector<Anomaly>& anomalies() const;
+  /// Exact count of anomalies evicted in bounded mode.
+  [[nodiscard]] std::uint64_t dropped_anomalies() const {
+    return dropped_anomalies_;
   }
 
   // --- inspection ----------------------------------------------------
@@ -207,6 +234,8 @@ class SpanRecorder {
   void clear();
 
  private:
+  /// Intern a span label into the arena.
+  InternedString intern(std::string_view text);
   void retire(Span span);
 
   bool enabled_{true};
@@ -232,7 +261,12 @@ class SpanRecorder {
   std::vector<std::pair<std::int32_t, Span>> last_window_;
   SpanId pending_cause_{0};
   SpanId pending_switch_{0};
-  std::vector<Anomaly> anomalies_;
+  // Same storage scheme as closed_/ring_. The anomaly ring is created on
+  // the first miss: most bounded modules never miss a deadline.
+  mutable std::vector<Anomaly> anomalies_;
+  mutable bool anomaly_view_dirty_{false};
+  std::unique_ptr<util::RingBuffer<Anomaly>> anomaly_ring_;
+  std::uint64_t dropped_anomalies_{0};
 };
 
 /// Deterministic JSON export: {"meta": ..., "spans": [...] (closed + open,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -141,11 +142,11 @@ TEST(Spans, EveryMissCarriesARootCauseChain) {
   ASSERT_FALSE(anomalies.empty());
   for (const telemetry::Anomaly& anomaly : anomalies) {
     ASSERT_GE(anomaly.chain.size(), 3u);
-    EXPECT_EQ(anomaly.chain[0].what, "deadline_miss");
-    EXPECT_EQ(anomaly.chain[1].what, "job_released");
+    EXPECT_EQ(to_string(anomaly.chain[0].what), "deadline_miss");
+    EXPECT_EQ(to_string(anomaly.chain[1].what), "job_released");
     // The faulty process misses across a window boundary, so the chain
     // names the preemption; misses inside a window blame the overrun.
-    const std::string cause = anomaly.chain[2].what.str();
+    const std::string cause{to_string(anomaly.chain[2].what)};
     EXPECT_TRUE(cause == "window_end_preemption" ||
                 cause == "capacity_overrun")
         << cause;
@@ -154,9 +155,88 @@ TEST(Spans, EveryMissCarriesARootCauseChain) {
   // walks all the way back to the SET_MODULE_SCHEDULE request.
   bool blames_switch = false;
   for (const telemetry::CauseLink& link : anomalies.front().chain) {
-    if (link.what == "requested_by") blames_switch = true;
+    if (to_string(link.what) == "requested_by") blames_switch = true;
   }
   EXPECT_TRUE(blames_switch);
+}
+
+// Chains are stored as data; these are the exact texts the span export,
+// the analyzer and the fault campaign's replay report print for them.
+TEST(Spans, CauseDetailRendersEveryCauseKind) {
+  using telemetry::CauseKind;
+  using telemetry::CauseLink;
+  auto render = [](const CauseLink& link) {
+    return std::string{to_string(link.what)} + ": " +
+           telemetry::cause_detail(link);
+  };
+  EXPECT_EQ(render({CauseKind::kDeadlineMiss, 7, 1301, 1250, 3}),
+            "deadline_miss: deadline 1250 expired for process 3");
+  EXPECT_EQ(render({CauseKind::kJobReleased, 7, 1000, 1000, 1}),
+            "job_released: job released at 1000 in partition 1");
+  EXPECT_EQ(render({CauseKind::kWindowEndPreemption, 5, 1100, 1100}),
+            "window_end_preemption: partition window closed at 1100");
+  EXPECT_EQ(render({CauseKind::kPartitionInactive, 0, 1301}),
+            "partition_inactive: deadline expired while the partition was "
+            "not scheduled");
+  EXPECT_EQ(render({CauseKind::kScheduleSwitch, 9, 1300, 0, 1, 1300}),
+            "schedule_switch: schedule 0 -> 1 took effect at 1300");
+  EXPECT_EQ(render({CauseKind::kRequestedBy, 8, 499, 499}),
+            "requested_by: SET_MODULE_SCHEDULE issued at 499");
+  EXPECT_EQ(render({CauseKind::kCapacityOverrun, 7, 1301}),
+            "capacity_overrun: no preemption between release and miss; job "
+            "exceeded its time capacity");
+  EXPECT_EQ(render({CauseKind::kDeadlineMiss, 0, 5, -1, -2}),
+            "deadline_miss: deadline -1 expired for process -2");
+}
+
+// Building a chain interns nothing: after warm-up the label arena stays
+// flat however many deadlines are missed.
+TEST(Spans, DeadlineMissesDoNotGrowTheArena) {
+  system::Module module(scenarios::fig8_config());
+  const PartitionId aocs = module.partition_id("AOCS");
+  module.start_process_by_name(aocs, scenarios::kFaultyProcessName);
+  module.run(2 * scenarios::kFig8Mtf);
+  const std::size_t bytes = module.arena().stats().bytes_used;
+  const std::uint64_t misses = module.pal(aocs).violations_detected();
+  const std::size_t anomalies = module.spans().anomalies().size();
+  module.run(4 * scenarios::kFig8Mtf);
+  EXPECT_GE(module.pal(aocs).violations_detected(), misses + 4);
+  EXPECT_GE(module.spans().anomalies().size(), anomalies + 4);
+  EXPECT_EQ(module.arena().stats().bytes_used, bytes);
+}
+
+// A bounded recorder keeps the newest `capacity` anomalies and counts the
+// evicted ones exactly; the export names the count only once it is > 0.
+TEST(Spans, BoundedRecorderKeepsTheNewestAnomalies) {
+  constexpr std::size_t kCapacity = 4;
+  auto fly = [](std::size_t capacity) {
+    auto config = scenarios::fig8_config();
+    config.telemetry.spans_capacity = capacity;
+    auto module = std::make_unique<system::Module>(std::move(config));
+    fig8_mission(*module);
+    return module;
+  };
+  const auto unbounded = fly(0);
+  const auto bounded = fly(kCapacity);
+  const auto& all = unbounded->spans().anomalies();
+  const auto& kept = bounded->spans().anomalies();
+  ASSERT_GT(all.size(), kCapacity);
+  ASSERT_EQ(kept.size(), kCapacity);
+  EXPECT_EQ(bounded->spans().dropped_anomalies(), all.size() - kCapacity);
+  EXPECT_EQ(unbounded->spans().dropped_anomalies(), 0u);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    const telemetry::Anomaly& want = all[all.size() - kCapacity + i];
+    EXPECT_EQ(kept[i].detected_at, want.detected_at);
+    EXPECT_EQ(kept[i].deadline, want.deadline);
+    EXPECT_EQ(kept[i].chain.size(), want.chain.size());
+  }
+  EXPECT_NE(telemetry::spans_to_json(bounded->spans())
+                .find("\"dropped_anomalies\": " +
+                      std::to_string(all.size() - kCapacity)),
+            std::string::npos);
+  EXPECT_EQ(telemetry::spans_to_json(unbounded->spans())
+                .find("dropped_anomalies"),
+            std::string::npos);
 }
 
 TEST(Spans, ExportIsDeterministicAcrossRuns) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "config/busy_world.hpp"
 #include "config/fig8.hpp"
@@ -61,11 +62,29 @@ std::string apex_visible_state(system::Module& module) {
   return out;
 }
 
+// Where every process stands in its script: a warp span that completes a
+// compute op must move the program counter exactly as the stepped tick.
+std::string script_positions(system::Module& module) {
+  std::string out;
+  for (std::size_t p = 0; p < module.partition_count(); ++p) {
+    auto& kernel = module.kernel(PartitionId{static_cast<std::int32_t>(p)});
+    for (std::size_t q = 0; q < kernel.process_count(); ++q) {
+      const pos::ProcessControlBlock* pcb =
+          kernel.pcb(ProcessId{static_cast<std::int32_t>(q)});
+      out += std::to_string(p) + "." + std::to_string(q) +
+             " pc=" + std::to_string(pcb->pc) +
+             " progress=" + std::to_string(pcb->op_progress) + "\n";
+    }
+  }
+  return out;
+}
+
 struct RunResult {
   std::string trace;
   std::string metrics;
   std::string apex;
   std::string spans;
+  std::string scripts;
   system::Module::WarpStats warp;
   std::uint64_t busy_ticks{0};  // summed over partitions
 };
@@ -77,6 +96,7 @@ RunResult capture(system::Module& module) {
   result.metrics = telemetry::to_json(snap) + "\n" + telemetry::to_csv(snap);
   result.apex = apex_visible_state(module);
   result.spans = telemetry::spans_to_json(module.spans());
+  result.scripts = script_positions(module);
   result.warp = module.warp_stats();
   for (std::size_t p = 0; p < module.partition_count(); ++p) {
     result.busy_ticks +=
@@ -102,6 +122,8 @@ void expect_equivalent(const RunResult& stepped, const RunResult& warped,
       << label << ": final APEX-visible state diverges";
   EXPECT_EQ(stepped.spans, warped.spans)
       << label << ": span streams diverge";
+  EXPECT_EQ(stepped.scripts, warped.scripts)
+      << label << ": script positions diverge";
   EXPECT_EQ(stepped.warp.warped_ticks, 0u) << label << ": baseline warped";
   EXPECT_EQ(stepped.warp.stepped_ticks,
             warped.warp.stepped_ticks + warped.warp.warped_ticks)
@@ -661,6 +683,110 @@ TEST(TimeWarpCompute, WorldScaleBusyModulesWarpMostTicks) {
   for (const auto& module_stats : stats) {
     EXPECT_GE(warped_share(module_stats), 0.7);
   }
+}
+
+// A span may end on the tick that completes a compute op; the executor
+// then moves the program counter in bulk, and the next tick -- here the
+// first tick of another compute op -- is stepped directly.
+TEST(TimeWarpCompute, BackToBackComputeOpsMatch) {
+  const auto config = one_partition(
+      {process("pair", 10, ScriptBuilder{}.compute(7).compute(11).build())});
+  const RunResult warped = expect_warp_equivalent(config, 4'000, "pair");
+  expect_compute_spans(warped, "pair");
+}
+
+TEST(TimeWarpCompute, SingleOpComputeScriptWrapsItsProgramCounter) {
+  const auto config =
+      one_partition({process("loop", 10, ScriptBuilder{}.compute(9).build())});
+  const RunResult warped = expect_warp_equivalent(config, 4'000, "loop");
+  expect_compute_spans(warped, "loop");
+}
+
+// PERIODIC_WAIT registers the next deadline, then the partition idles: the
+// new episode's slack sample falls on the first tick of a long idle span,
+// which the PAL takes in bulk instead of stepping that tick.
+TEST(TimeWarpCompute, SlackSampleAtTheStartOfALongSpan) {
+  constexpr Ticks kPeriod = 500;
+  constexpr Ticks kPeriods = 8;
+  const auto config = one_partition(
+      {process("beat", 10, ScriptBuilder{}.compute(4).periodic_wait().build(),
+               kPeriod, 400)},
+      "rt", kPeriod, kPeriod);
+  const RunResult warped =
+      expect_warp_equivalent(config, kPeriods * kPeriod, "slack");
+  // The slack histogram has samples (a CSV row with a non-zero count).
+  EXPECT_NE(warped.metrics.find("pal.deadline_slack,0,histogram,,"),
+            std::string::npos);
+  EXPECT_EQ(warped.metrics.find("pal.deadline_slack,0,histogram,,0,"),
+            std::string::npos);
+  // Per period: the release tick (a preemption point and a timer wake)
+  // and the PERIODIC_WAIT tick. The sample tick is not among them.
+  EXPECT_LE(warped.warp.stepped_ticks,
+            static_cast<std::uint64_t>(2 * kPeriods + 1));
+}
+
+// --- the stepping rule: a tick is stepped only if it records something ---
+
+struct SteppedTicks {
+  std::uint64_t stepped{0};
+  std::uint64_t silent{0};  // stepped ticks that recorded nothing
+};
+
+/// Fly `module` one run(1) at a time for `ticks` ticks, calling
+/// `before(t)` ahead of the t-th, and count the stepped ticks that neither
+/// recorded a trace event nor opened or closed a span.
+template <typename Before>
+SteppedTicks count_silent_steps(system::Module& module, Ticks ticks,
+                                Before&& before) {
+  auto activity = [&module] {
+    return std::tuple{module.trace().recorded_events(),
+                      module.spans().recorded_spans(),
+                      module.spans().open_count()};
+  };
+  SteppedTicks out;
+  for (Ticks t = 0; t < ticks; ++t) {
+    before(t);
+    const std::uint64_t stepped = module.warp_stats().stepped_ticks;
+    const auto seen = activity();
+    module.run(1);
+    if (module.warp_stats().stepped_ticks == stepped) continue;
+    ++out.stepped;
+    if (activity() == seen) ++out.silent;
+  }
+  return out;
+}
+
+TEST(TimeWarp, NoSteppedTickIsSilentOnTheFaultyFig8Flight) {
+  system::Module module(scenarios::fig8_config());
+  const PartitionId aocs = module.partition_id("AOCS");
+  module.start_process_by_name(aocs, scenarios::kFaultyProcessName);
+  const SteppedTicks steps =
+      count_silent_steps(module, 40 * scenarios::kFig8Mtf, [&](Ticks t) {
+        if (t == 500) {
+          (void)module.apex(aocs).set_module_schedule(ScheduleId{1});
+        } else if (t == 20'000) {
+          (void)module.apex(aocs).set_module_schedule(ScheduleId{0});
+        }
+      });
+  EXPECT_EQ(module.scheduler().schedule_switches(), 2u);
+  EXPECT_GT(module.pal(aocs).violations_detected(), 0u);
+  EXPECT_GT(steps.stepped, 0u);
+  EXPECT_EQ(steps.silent, 0u) << "of " << steps.stepped << " stepped ticks";
+}
+
+TEST(TimeWarp, NoSteppedTickIsSilentOnTheCleanFig8Flight) {
+  system::Module module(scenarios::fig8_config());
+  const SteppedTicks steps =
+      count_silent_steps(module, 10 * scenarios::kFig8Mtf, [](Ticks) {});
+  EXPECT_GT(steps.stepped, 0u);
+  EXPECT_EQ(steps.silent, 0u) << "of " << steps.stepped << " stepped ticks";
+}
+
+TEST(TimeWarp, NoSteppedTickIsSilentOnABusyModule) {
+  system::Module module(scenarios::busy_module(0, 2));
+  const SteppedTicks steps = count_silent_steps(module, 2'000, [](Ticks) {});
+  EXPECT_GT(steps.stepped, 0u);
+  EXPECT_EQ(steps.silent, 0u) << "of " << steps.stepped << " stepped ticks";
 }
 
 }  // namespace
