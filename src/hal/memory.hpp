@@ -1,10 +1,11 @@
-// Simulated flat physical memory.
+// Simulated flat physical memory, demand-zero: a page costs host memory only
+// once the flight touches it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 namespace air::hal {
 
@@ -14,11 +15,16 @@ using VirtAddr = std::uint32_t;
 /// Byte-addressable physical memory of fixed size. All accesses are bounds
 /// checked; out-of-range access is a bug in the caller (the MMU must have
 /// produced a valid frame), hence asserts rather than recoverable errors.
+///
+/// The bytes live in one anonymous private mapping: the host kernel supplies
+/// a zero page on first touch, so untouched memory reads 0 and costs neither
+/// construction time nor resident memory: like the integration-time memory
+/// layout, the size is a reservation, not a fill.
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(std::size_t bytes) : bytes_(bytes) {}
+  explicit PhysicalMemory(std::size_t bytes);
 
-  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
+  [[nodiscard]] std::size_t size() const { return bytes_.get_deleter().bytes; }
 
   void write(PhysAddr addr, std::span<const std::byte> data);
   void read(PhysAddr addr, std::span<std::byte> out) const;
@@ -30,7 +36,11 @@ class PhysicalMemory {
   void write_u32(PhysAddr addr, std::uint32_t value);
 
  private:
-  std::vector<std::byte> bytes_;
+  struct Unmap {
+    std::size_t bytes{0};
+    void operator()(std::byte* base) const;
+  };
+  std::unique_ptr<std::byte[], Unmap> bytes_;
 };
 
 /// Simple bump allocator over physical memory, used at integration time to

@@ -46,6 +46,9 @@ Module::Module(ModuleConfig config)
     trace_.set_flight_recorder(
         config_.telemetry.flight_recorder_capacity,
         config_.telemetry.flight_recorder_critical_capacity);
+    // HM reports are critical history: bounded like the critical ring.
+    health_.set_log_capacity(
+        config_.telemetry.flight_recorder_critical_capacity);
   }
   spans_.enable(config_.telemetry.spans_enabled);
   spans_.set_origin(static_cast<std::uint32_t>(config_.id.value()));
@@ -757,8 +760,9 @@ std::string Module::status_report() {
       out += line;
     }
   }
-  std::snprintf(line, sizeof line, "  hm log entries: %zu\n",
-                health_.log().size());
+  std::snprintf(line, sizeof line, "  hm log entries: %llu\n",
+                static_cast<unsigned long long>(health_.log().size() +
+                                                health_.dropped_reports()));
   out += line;
   std::snprintf(line, sizeof line,
                 "  warp: stepped=%llu warped=%llu spans=%llu\n",

@@ -2,6 +2,8 @@
 // severity-based retention, and streaming sinks.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "config/fig8.hpp"
@@ -231,6 +233,49 @@ TEST(FlightRecorder, ModuleRunsBoundedWithCompleteCriticalHistory) {
   EXPECT_EQ(module.trace().count(EventKind::kDeadlineMiss), 4u);
   // Retained events are bounded by the two ring capacities.
   EXPECT_LE(module.trace().events().size(), 64u + 512u);
+}
+
+// The HM log is critical history and shares the critical ring's bound: a
+// long faulty flight keeps the newest reports and counts every eviction.
+TEST(FlightRecorder, BoundedHmLogKeepsTheNewestReports) {
+  constexpr std::size_t kCapacity = 128;
+  auto fly = [](std::size_t recorder_capacity) {
+    auto config = scenarios::fig8_config();
+    config.telemetry.flight_recorder_capacity = recorder_capacity;
+    config.telemetry.flight_recorder_critical_capacity = kCapacity;
+    auto module = std::make_unique<system::Module>(std::move(config));
+    module->start_process_by_name(module->partition_id("AOCS"),
+                                  scenarios::kFaultyProcessName);
+    module->run(2000 * scenarios::kFig8Mtf);
+    return module;
+  };
+  const auto unbounded = fly(0);
+  const auto bounded = fly(64);
+  const auto& all = unbounded->health().log();
+  const auto& kept = bounded->health().log();
+
+  ASSERT_GT(all.size(), kCapacity);
+  EXPECT_EQ(unbounded->health().dropped_reports(), 0u);
+  EXPECT_EQ(kept.size(), kCapacity);
+  EXPECT_EQ(bounded->health().dropped_reports(), all.size() - kept.size());
+  // The retained window is exactly the unbounded log's tail.
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const hm::ErrorReport& want = all[all.size() - kept.size() + i];
+    EXPECT_EQ(kept[i].time, want.time);
+    EXPECT_EQ(kept[i].code, want.code);
+    EXPECT_EQ(kept[i].partition, want.partition);
+    EXPECT_EQ(kept[i].process, want.process);
+    EXPECT_EQ(kept[i].message, want.message);
+    EXPECT_EQ(kept[i].action_taken, want.action_taken);
+  }
+  // Counting and reporting still see every report.
+  const PartitionId aocs = bounded->partition_id("AOCS");
+  EXPECT_EQ(bounded->health().error_count(aocs, hm::ErrorCode::kDeadlineMissed),
+            unbounded->health().error_count(aocs,
+                                            hm::ErrorCode::kDeadlineMissed));
+  EXPECT_NE(bounded->status_report().find("hm log entries: " +
+                                          std::to_string(all.size())),
+            std::string::npos);
 }
 
 }  // namespace

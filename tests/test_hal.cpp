@@ -1,8 +1,19 @@
-// Unit tests for the simulated machine: physical memory, frame allocator,
-// three-level MMU (contexts, per-level rights, TLB), checked accesses.
+// Unit tests for the simulated machine: demand-zero physical memory, frame
+// allocator, three-level MMU (contexts, per-level rights, TLB), checked
+// accesses.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <memory>
+#include <vector>
+
+#include "config/fig8.hpp"
+#include "fi/injector.hpp"
 #include "hal/machine.hpp"
+#include "system/module.hpp"
 
 namespace air::hal {
 namespace {
@@ -13,6 +24,93 @@ TEST(PhysicalMemory, ReadWriteRoundTrip) {
   EXPECT_EQ(mem.read_u32(100), 0xdeadbeefu);
   mem.write_u8(0, 0x7f);
   EXPECT_EQ(mem.read_u8(0), 0x7f);
+}
+
+TEST(PhysicalMemory, UntouchedBytesReadZero) {
+  PhysicalMemory mem(16u << 20);
+  EXPECT_EQ(mem.size(), 16u << 20);
+  EXPECT_EQ(mem.read_u8(0), 0);
+  EXPECT_EQ(mem.read_u32(8u << 20), 0u);
+  EXPECT_EQ(mem.read_u8(static_cast<PhysAddr>(mem.size() - 1)), 0);
+  std::array<std::byte, 4096> page{};
+  page.fill(std::byte{0xff});
+  mem.read(3u << 20, page);
+  EXPECT_TRUE(std::all_of(page.begin(), page.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+}
+
+TEST(PhysicalMemory, LastByteRoundTrips) {
+  PhysicalMemory mem(1u << 20);
+  const auto last = static_cast<PhysAddr>(mem.size() - 1);
+  mem.write_u8(last, 0xa5);
+  EXPECT_EQ(mem.read_u8(last), 0xa5);
+  mem.write_u32(last - 3, 0x01020304);
+  EXPECT_EQ(mem.read_u32(last - 3), 0x01020304u);
+}
+
+TEST(PhysicalMemory, U32StraddlesAPageBoundary) {
+  PhysicalMemory mem(1u << 20);
+  const PhysAddr at = 4096 - 2;
+  mem.write_u32(at, 0xcafef00d);
+  EXPECT_EQ(mem.read_u32(at), 0xcafef00du);
+  EXPECT_EQ(mem.read_u8(at - 1), 0) << "neighbours stay untouched";
+  EXPECT_EQ(mem.read_u8(at + 4), 0);
+}
+
+TEST(PhysicalMemory, EmptyMemoryAcceptsEmptyAccesses) {
+  PhysicalMemory mem(0);
+  EXPECT_EQ(mem.size(), 0u);
+  std::array<std::byte, 0> none{};
+  mem.write(0, none);
+  mem.read(0, none);
+}
+
+TEST(PhysicalMemory, BitFlipOnAnUntouchedPageFlipsOneBit) {
+  system::Module module(scenarios::fig8_config());
+  const PartitionId target{1};
+  const pmk::PartitionSpace* space = module.spatial().space(target);
+  ASSERT_NE(space, nullptr);
+  const PhysAddr base = space->app_data;
+  const std::size_t bytes = space->config.app_data_bytes;
+  ASSERT_GT(bytes, 5000u);
+
+  fi::FaultPlan plan;
+  plan.injections = {{10, fi::FaultClass::kMemoryBitFlip, target.value(),
+                      /*a=*/5000, /*b=*/3}};
+  fi::Injector injector(plan);
+  injector.arm(module);
+  module.run(20);
+  ASSERT_TRUE(injector.log().size() == 1 && injector.log()[0].applied);
+
+  PhysicalMemory& mem = module.machine().memory();
+  EXPECT_EQ(mem.read_u8(base + 5000), 1u << 3);
+  std::vector<std::byte> section(bytes);
+  mem.read(base, section);
+  int set_bits = 0;
+  for (std::byte b : section) {
+    set_bits += std::popcount(static_cast<unsigned>(b));
+  }
+  EXPECT_EQ(set_bits, 1);
+}
+
+long max_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// Building a module costs what it touches: sixteen default modules declare
+// 256 MiB of simulated RAM between them but must not make it resident.
+TEST(PhysicalMemory, ModulesDoNotCommitUntouchedRam) {
+  const system::ModuleConfig config = scenarios::fig8_config();
+  ASSERT_EQ(config.memory_bytes, 16u << 20);
+  const long before = max_rss_kib();
+  std::vector<std::unique_ptr<system::Module>> modules;
+  for (int i = 0; i < 16; ++i) {
+    modules.push_back(std::make_unique<system::Module>(config));
+  }
+  EXPECT_LT(max_rss_kib() - before, 32L << 10)
+      << "peak RSS grew by " << (max_rss_kib() - before) << " KiB";
 }
 
 TEST(FrameAllocator, AlignsAndAdvances) {
