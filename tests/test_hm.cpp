@@ -3,6 +3,9 @@
 // process-level errors, and every recovery mechanism.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hm/health_monitor.hpp"
 
 namespace air::hm {
@@ -163,6 +166,35 @@ TEST_F(HmTest, ReportHookSeesTheFinalReport) {
                   PartitionId{0}, ProcessId{1});
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], RecoveryAction::kStopProcess);
+}
+
+TEST_F(HmTest, BoundedLogKeepsTheNewestAndCountsEvictions) {
+  auto report_at = [this](Ticks t) {
+    monitor_.report(t, ErrorCode::kApplicationError, ErrorLevel::kProcess,
+                    PartitionId{0}, ProcessId{1}, std::to_string(t));
+  };
+  std::vector<Ticks> hooked;
+  monitor_.on_report = [&](const ErrorReport& r) { hooked.push_back(r.time); };
+  monitor_.set_log_capacity(3);
+  EXPECT_TRUE(monitor_.log().empty());
+  for (Ticks t = 1; t <= 7; ++t) report_at(t);
+  ASSERT_EQ(monitor_.log().size(), 3u);
+  EXPECT_EQ(monitor_.dropped_reports(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(monitor_.log()[i].time, static_cast<Ticks>(5 + i));
+    EXPECT_EQ(monitor_.log()[i].message, std::to_string(5 + i));
+  }
+  EXPECT_EQ(hooked, (std::vector<Ticks>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(monitor_.error_count(PartitionId{0}, ErrorCode::kApplicationError),
+            7u);
+
+  monitor_.clear_log();
+  EXPECT_TRUE(monitor_.log().empty());
+  EXPECT_EQ(monitor_.dropped_reports(), 0u);
+  report_at(8);
+  ASSERT_EQ(monitor_.log().size(), 1u);
+  EXPECT_EQ(monitor_.log()[0].time, 8);
+  EXPECT_EQ(monitor_.dropped_reports(), 0u);
 }
 
 }  // namespace
