@@ -109,6 +109,10 @@ class Bus {
 
   /// Attach a module; slot order (within its switch) is attach order.
   void attach(ModuleId module, DeliverFn deliver);
+  /// Whether `module` is attached. O(1).
+  [[nodiscard]] bool attached(ModuleId module) const {
+    return station_index_.contains(module.value());
+  }
 
   /// Reserve a virtual link; returns its index. At most one VL per
   /// (source, dest) pair; frames of unreserved pairs ride unbudgeted.

@@ -4,26 +4,12 @@
 
 namespace air::pos {
 
-void GenericKernel::enqueue_ready(ProcessControlBlock& pcb) {
-  run_queue_.push_back(pcb.id);
-}
-
-void GenericKernel::dequeue_ready(ProcessControlBlock& pcb) {
-  auto it = std::find(run_queue_.begin(), run_queue_.end(), pcb.id);
-  if (it != run_queue_.end()) run_queue_.erase(it);
-}
-
-ProcessId GenericKernel::pick_heir() const {
-  return run_queue_.empty() ? ProcessId::invalid() : run_queue_.front();
-}
-
 ProcessId GenericKernel::peek_heir() const {
   // schedule() rotates a running head that has company to the tail.
-  if (current_.valid() && run_queue_.size() > 1 &&
-      run_queue_.front() == current_) {
-    return run_queue_[1];
+  if (current_.valid() && ready_.size() > 1 && ready_.front() == current_) {
+    return ready_[1];
   }
-  return pick_heir();
+  return ready_head();
 }
 
 ProcessId GenericKernel::schedule() {
@@ -35,9 +21,8 @@ ProcessId GenericKernel::schedule() {
   count_dispatch(heir != current_);
   // Round-robin: the previous head moves to the tail on every scheduling
   // decision, giving a one-tick time slice.
-  if (heir != run_queue_.front()) {
-    run_queue_.pop_front();
-    run_queue_.push_back(current_);
+  if (heir != ready_.front()) {
+    std::rotate(ready_.begin(), ready_.begin() + 1, ready_.end());
     ProcessControlBlock* prev = pcb(current_);
     if (prev != nullptr && prev->state == ProcessState::kRunning) {
       set_state(*prev, ProcessState::kReady);

@@ -6,9 +6,11 @@
 // that could disable or divert the system clock interrupt are wrapped -- the
 // kernel cannot undermine the module-wide time guarantees, it can only trap
 // (counted, traced, and reported by the system layer).
+//
+// It appends to the ready list (KernelBase) at the back, and every
+// scheduling decision rotates a running head that has company to the tail.
 #pragma once
 
-#include <deque>
 #include <functional>
 
 #include "pos/kernel_base.hpp"
@@ -19,6 +21,8 @@ namespace air::pos {
 // and lets LTO devirtualize through GenericKernel* references.
 class GenericKernel final : public KernelBase {
  public:
+  GenericKernel() : KernelBase(ReadyOrder::kBack) {}
+
   [[nodiscard]] std::string_view kind() const override { return "generic"; }
 
   ProcessId schedule() override;
@@ -41,13 +45,7 @@ class GenericKernel final : public KernelBase {
   /// Invoked on every refused clock-interrupt manipulation.
   std::function<void()> on_paravirt_trap;
 
- protected:
-  void enqueue_ready(ProcessControlBlock& pcb) override;
-  void dequeue_ready(ProcessControlBlock& pcb) override;
-  [[nodiscard]] ProcessId pick_heir() const override;
-
  private:
-  std::deque<ProcessId> run_queue_;
   std::uint64_t traps_{0};
 };
 

@@ -14,6 +14,7 @@ ProcessId KernelBase::create_process(ProcessAttributes attrs) {
   table_.push_back(std::move(pcb));
   wake_col_.push_back(kInfiniteTime);  // dormant: no timer armed
   susp_col_.push_back(0);
+  ready_.reserve(table_.size());
   return table_.back().id;
 }
 
@@ -46,13 +47,28 @@ ProcessControlBlock& KernelBase::pcb_ref(ProcessId id) {
 
 void KernelBase::set_state(ProcessControlBlock& pcb, ProcessState state) {
   if (pcb.state == state) return;
-  const bool was_schedulable = pcb.schedulable();
   pcb.state = state;
-  if (pcb.schedulable() != was_schedulable) {
-    schedulable_count_ += pcb.schedulable() ? 1 : std::size_t(-1);
-  }
   sync_wait_cols(pcb);
   if (on_state_change) on_state_change(pcb.id, state);
+}
+
+void KernelBase::enqueue(const ProcessControlBlock& pcb) {
+  auto at = ready_.end();
+  if (order_ == ReadyOrder::kPriority) {
+    at = std::upper_bound(
+        ready_.begin(), ready_.end(), pcb.current_priority,
+        [this](Priority p, ProcessId id) {
+          return p < table_[static_cast<std::size_t>(id.value())]
+                         .current_priority;
+        });
+  }
+  ready_.insert(at, pcb.id);
+}
+
+void KernelBase::dequeue(ProcessId id) {
+  const auto it = std::find(ready_.begin(), ready_.end(), id);
+  AIR_ASSERT_MSG(it != ready_.end(), "schedulable process not in ready list");
+  ready_.erase(it);
 }
 
 void KernelBase::make_ready(ProcessId id) {
@@ -62,12 +78,12 @@ void KernelBase::make_ready(ProcessId id) {
   p.wake_time = kInfiniteTime;
   p.ready_seq = ++ready_counter_;
   set_state(p, ProcessState::kReady);
-  enqueue_ready(p);
+  enqueue(p);
 }
 
 void KernelBase::make_dormant(ProcessId id) {
   ProcessControlBlock& p = pcb_ref(id);
-  if (p.schedulable()) dequeue_ready(p);
+  if (p.schedulable()) dequeue(id);
   if (current_ == id) current_ = ProcessId::invalid();
   p.wait_reason = WaitReason::kNone;
   p.wake_time = kInfiniteTime;
@@ -79,7 +95,7 @@ void KernelBase::make_dormant(ProcessId id) {
 void KernelBase::block(ProcessId id, WaitReason reason, Ticks wake_time) {
   ProcessControlBlock& p = pcb_ref(id);
   AIR_ASSERT_MSG(p.schedulable(), "only a schedulable process can block");
-  dequeue_ready(p);
+  dequeue(id);
   if (current_ == id) current_ = ProcessId::invalid();
   p.wait_reason = reason;
   p.wake_time = wake_time;
@@ -103,7 +119,7 @@ void KernelBase::wake(ProcessId id, WakeResult result) {
   p.wake_time = kInfiniteTime;
   p.ready_seq = ++ready_counter_;
   set_state(p, ProcessState::kReady);
-  enqueue_ready(p);
+  enqueue(p);
 }
 
 void KernelBase::retarget_wait(ProcessId id, WaitReason reason,
@@ -186,7 +202,6 @@ void KernelBase::tick_announce(Ticks now, Ticks elapsed) {
 
 void KernelBase::reset_all() {
   for (auto& p : table_) {
-    if (p.schedulable()) dequeue_ready(p);
     p.state = ProcessState::kDormant;
     p.wait_reason = WaitReason::kNone;
     p.wake_time = kInfiniteTime;
@@ -206,7 +221,7 @@ void KernelBase::reset_all() {
   // traces one dormant event per process); reset the columns wholesale.
   std::fill(wake_col_.begin(), wake_col_.end(), kInfiniteTime);
   std::fill(susp_col_.begin(), susp_col_.end(), std::uint8_t{0});
-  schedulable_count_ = 0;
+  ready_.clear();
   current_ = ProcessId::invalid();
   preemption_lock_ = 0;
 }
@@ -220,7 +235,5 @@ Ticks KernelBase::next_wake() const {
   for (const Ticks w : wake_col_) earliest = std::min(earliest, w);
   return earliest;
 }
-
-std::size_t KernelBase::ready_depth() const { return schedulable_count_; }
 
 }  // namespace air::pos

@@ -1,6 +1,8 @@
 // Shared POS kernel machinery: process table, wait/wake bookkeeping, timed
-// wake-ups. Scheduling policy is delegated to subclasses through the
-// ready-queue hooks.
+// wake-ups, and the one ready list both kernels elect from. The list holds
+// exactly the ready and running processes, always in heir order; the only
+// policy difference -- insert by priority or at the back -- is fixed at
+// construction. Subclasses add their election rule (schedule/peek_heir).
 #pragma once
 
 #include <cstdint>
@@ -11,9 +13,9 @@
 namespace air::pos {
 
 // The overrides below are `final`: subclasses customise *policy* through
-// the protected ready-queue hooks (plus kind/schedule/set_priority), never
-// the table/time machinery itself. Sealing it lets calls through a
-// KernelBase* -- notably the KernelDispatch fast path -- devirtualize.
+// kind/schedule/set_priority and their ReadyOrder, never the table/time
+// machinery itself. Sealing it lets calls through a KernelBase* -- notably
+// the KernelDispatch fast path -- devirtualize.
 class KernelBase : public IKernel {
  public:
   ProcessId create_process(ProcessAttributes attrs) final;
@@ -54,13 +56,22 @@ class KernelBase : public IKernel {
   [[nodiscard]] std::uint64_t process_switches() const final {
     return process_switches_;
   }
-  [[nodiscard]] std::size_t ready_depth() const final;
+  [[nodiscard]] std::size_t ready_depth() const final {
+    return ready_.size();
+  }
 
   /// Bulk equivalent of `n` schedule() calls that each re-elect the
   /// running process (the time warp's compute spans, DESIGN.md §7).
   void count_repeat_dispatches(std::uint64_t n) { dispatches_ += n; }
 
  protected:
+  /// Where a process entering the ready state goes in the ready list.
+  enum class ReadyOrder : std::uint8_t {
+    kPriority,  // after the last entry of equal or greater priority
+    kBack,      // at the back (round-robin)
+  };
+  explicit KernelBase(ReadyOrder order) : order_(order) {}
+
   /// Subclass schedule() bookkeeping: an heir was selected; `switched`
   /// when it differs from the previously running process.
   void count_dispatch(bool switched) {
@@ -68,11 +79,14 @@ class KernelBase : public IKernel {
     if (switched) ++process_switches_;
   }
 
-  // --- scheduling-policy hooks ---
-  virtual void enqueue_ready(ProcessControlBlock& pcb) = 0;
-  virtual void dequeue_ready(ProcessControlBlock& pcb) = 0;
-  /// Next process to run given the policy; invalid() when none ready.
-  [[nodiscard]] virtual ProcessId pick_heir() const = 0;
+  /// Insert `pcb` into the ready list at its ReadyOrder position.
+  void enqueue(const ProcessControlBlock& pcb);
+  /// Remove a schedulable process from the ready list.
+  void dequeue(ProcessId id);
+  /// Head of the ready list; invalid() when nothing is schedulable.
+  [[nodiscard]] ProcessId ready_head() const {
+    return ready_.empty() ? ProcessId::invalid() : ready_.front();
+  }
 
   void set_state(ProcessControlBlock& pcb, ProcessState state);
 
@@ -98,7 +112,13 @@ class KernelBase : public IKernel {
   // only these contiguous columns and never page in a PCB row.
   std::vector<Ticks> wake_col_;  // kWaiting ? wake_time : kInfiniteTime
   std::vector<std::uint8_t> susp_col_;  // suspended flag, 0/1
-  std::size_t schedulable_count_{0};    // |{ready, running}| (ready_depth)
+  // The ready and running processes in heir order. Under kPriority it is
+  // sorted by current_priority and, within a priority, by ready_seq: every
+  // enqueue takes a fresh ready_seq, so inserting after the last entry of
+  // equal priority is eq. (14)'s age tie-break. A running process keeps its
+  // place. create_process reserves one slot per process, so no enqueue
+  // allocates.
+  std::vector<ProcessId> ready_;
   // Scratch for tick_announce's due-timer sweep; a member so the steady
   // state reuses its capacity instead of allocating per expiry.
   std::vector<std::pair<Ticks, ProcessId>> due_scratch_;
@@ -108,6 +128,9 @@ class KernelBase : public IKernel {
   int preemption_lock_{0};
   std::uint64_t dispatches_{0};
   std::uint64_t process_switches_{0};
+
+ private:
+  ReadyOrder order_;
 };
 
 }  // namespace air::pos

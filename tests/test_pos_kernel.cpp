@@ -1,8 +1,19 @@
 // POS kernel tests: the heir rule of eq. (14) for the RT kernel
 // (priority-preemptive, FIFO within priority), process state machinery,
 // timed wake-ups, preemption locking, and the generic kernel's round-robin
-// and paravirtualisation behaviour.
+// and paravirtualisation behaviour. A differential test drives both
+// kernels through random operation sequences against a reference model of
+// their election rules.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "pos/generic_kernel.hpp"
 #include "pos/rt_kernel.hpp"
@@ -240,6 +251,229 @@ TEST(GenericKernel, SetPriorityIsRecordedButNotHonoured) {
   kernel.set_priority(b, 1);  // "highest"
   EXPECT_EQ(kernel.pcb(b)->current_priority, 1);
   EXPECT_EQ(kernel.schedule(), a) << "round robin ignores priorities";
+}
+
+// ---------- differential test against a reference model ----------
+
+// The election rules written the obvious way: one FIFO per priority level
+// for eq. (14), one rotating list for the generic kernel. The model follows
+// the ready-set membership each operation produces and checks every
+// election the kernel makes.
+class ElectionModel {
+ public:
+  ElectionModel(bool rt, std::vector<Priority> base)
+      : rt_(rt), base_(base), priority_(std::move(base)) {}
+
+  void entered(ProcessId id) {
+    if (rt_) {
+      fifo_[level(id)].push_back(id);
+    } else {
+      rotation_.push_back(id);
+    }
+  }
+
+  void left(ProcessId id) {
+    auto& list = rt_ ? fifo_[level(id)] : rotation_;
+    const auto it = std::find(list.begin(), list.end(), id);
+    ASSERT_NE(it, list.end());
+    list.erase(it);
+    if (current_ == id) current_ = ProcessId::invalid();
+  }
+
+  void set_priority(ProcessId id, Priority priority, bool schedulable) {
+    if (!rt_ || priority_[index(id)] == priority) {
+      priority_[index(id)] = priority;
+      return;
+    }
+    const ProcessId keep = current_;  // a requeue does not deschedule
+    if (schedulable) left(id);
+    priority_[index(id)] = priority;
+    if (schedulable) entered(id);  // newest at its new priority
+    current_ = keep;
+  }
+
+  void reset_all() {
+    for (auto& fifo : fifo_) fifo.clear();
+    rotation_.clear();
+    priority_ = base_;
+    current_ = ProcessId::invalid();
+    lock_ = 0;
+  }
+
+  void lock() { ++lock_; }
+  void unlock() {
+    if (lock_ > 0) --lock_;
+  }
+
+  // current_ is invalidated whenever it leaves the ready set, so a valid
+  // current_ is always schedulable.
+  [[nodiscard]] ProcessId peek() const {
+    if (rt_) {
+      if (lock_ > 0 && current_.valid()) return current_;
+      for (const auto& fifo : fifo_) {
+        if (!fifo.empty()) return fifo.front();
+      }
+      return ProcessId::invalid();
+    }
+    if (rotation_.empty()) return ProcessId::invalid();
+    if (current_.valid() && rotation_.size() > 1 &&
+        rotation_.front() == current_) {
+      return rotation_[1];
+    }
+    return rotation_.front();
+  }
+
+  void elected(ProcessId heir) {
+    if (!rt_ && heir.valid() && heir != rotation_.front()) {
+      rotation_.pop_front();
+      rotation_.push_back(current_);
+    }
+    current_ = heir;
+  }
+
+  [[nodiscard]] ProcessId current() const { return current_; }
+  [[nodiscard]] Priority priority(ProcessId id) const {
+    return priority_[index(id)];
+  }
+
+ private:
+  static std::size_t index(ProcessId id) {
+    return static_cast<std::size_t>(id.value());
+  }
+  std::size_t level(ProcessId id) const {
+    return static_cast<std::size_t>(priority_[index(id)]);
+  }
+
+  bool rt_;
+  std::vector<Priority> base_;
+  std::vector<Priority> priority_;
+  std::array<std::deque<ProcessId>, RtKernel::kPriorityLevels> fifo_;
+  std::deque<ProcessId> rotation_;
+  ProcessId current_{ProcessId::invalid()};
+  int lock_{0};
+};
+
+template <typename Kernel>
+void run_differential(std::uint32_t seed) {
+  constexpr bool kRt = std::is_same_v<Kernel, RtKernel>;
+  constexpr int kProcesses = 7;
+  // Few priority levels, so ties (the age tie-break) are common; 255 keeps
+  // the bottom of the range in play.
+  constexpr std::array<Priority, 5> kLevels{0, 1, 2, 3, 255};
+  std::mt19937 rng(seed);
+  Kernel kernel;
+  std::vector<Priority> base;
+  for (int i = 0; i < kProcesses; ++i) {
+    const Priority p = kLevels[rng() % kLevels.size()];
+    kernel.create_process(attrs("p" + std::to_string(i), p));
+    base.push_back(p);
+  }
+  ElectionModel model(kRt, base);
+
+  const auto schedulable = [&kernel](ProcessId id) {
+    return kernel.pcb(id)->schedulable();
+  };
+  const auto schedulable_count = [&] {
+    std::size_t n = 0;
+    for (int i = 0; i < kProcesses; ++i) n += schedulable(ProcessId{i});
+    return n;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+    const ProcessId id{static_cast<std::int32_t>(rng() % kProcesses)};
+    const bool was = schedulable(id);
+    const std::uint32_t op = rng() % 13;
+    switch (op) {
+      case 0:
+      case 1:
+        kernel.make_ready(id);
+        EXPECT_TRUE(schedulable(id));
+        break;
+      case 2:
+        if (was) {
+          kernel.block(id, WaitReason::kSemaphore, kInfiniteTime);
+          EXPECT_FALSE(schedulable(id));
+        }
+        break;
+      case 3:
+        kernel.wake(id, WakeResult::kOk);
+        break;
+      case 4:
+        kernel.suspend(id, kInfiniteTime);
+        EXPECT_FALSE(schedulable(id));
+        break;
+      case 5:
+        kernel.resume(id);
+        break;
+      case 6: {
+        const Priority p = kLevels[rng() % kLevels.size()];
+        kernel.set_priority(id, p);
+        model.set_priority(id, p, was);
+        break;
+      }
+      case 7:
+        kernel.lock_preemption();
+        model.lock();
+        break;
+      case 8:
+        kernel.unlock_preemption();
+        model.unlock();
+        break;
+      case 9:
+        if (rng() % 4 == 0) {
+          kernel.make_dormant(id);
+          EXPECT_EQ(kernel.pcb(id)->state, ProcessState::kDormant);
+        }
+        break;
+      case 10:
+        if (rng() % 16 == 0) {
+          kernel.reset_all();
+          model.reset_all();
+          EXPECT_EQ(schedulable_count(), 0u);
+        }
+        break;
+      case 11:
+        ASSERT_EQ(kernel.peek_heir(), model.peek());
+        break;
+      default: {
+        const ProcessId expected = model.peek();
+        const ProcessId heir = kernel.schedule();
+        ASSERT_EQ(heir, expected);
+        model.elected(heir);
+        if (heir.valid()) {
+          EXPECT_EQ(kernel.pcb(heir)->state, ProcessState::kRunning);
+        }
+        break;
+      }
+    }
+    // Membership: every other operation changes at most `id`'s; the model
+    // already applied reset_all and set_priority itself.
+    const bool is = schedulable(id);
+    if (op != 10 && op != 6) {
+      if (!was && is) model.entered(id);
+      if (was && !is) model.left(id);
+    }
+    ASSERT_EQ(kernel.ready_depth(), schedulable_count());
+    ASSERT_EQ(kernel.current(), model.current());
+    for (int i = 0; i < kProcesses; ++i) {
+      ASSERT_EQ(kernel.pcb(ProcessId{i})->current_priority,
+                model.priority(ProcessId{i}));
+    }
+    ASSERT_EQ(kernel.peek_heir(), model.peek());
+  }
+}
+
+TEST(KernelDifferential, RtKernelElectsLikePerPriorityFifos) {
+  for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    run_differential<RtKernel>(seed);
+  }
+}
+
+TEST(KernelDifferential, GenericKernelElectsLikeARotatingList) {
+  for (std::uint32_t seed : {11u, 12u, 13u, 14u, 15u, 16u, 17u, 18u}) {
+    run_differential<GenericKernel>(seed);
+  }
 }
 
 }  // namespace

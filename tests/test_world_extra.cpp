@@ -1,5 +1,5 @@
 // Additional multi-module World coverage: three-module topologies, sampling
-// fan-out over the bus, and bus fairness.
+// fan-out over the bus, bus fairness, and the duplicate-id refusal.
 #include <gtest/gtest.h>
 
 #include "system/world.hpp"
@@ -150,6 +150,17 @@ TEST(WorldExtra, PooledRunMatchesLockstepOnChattyTopology) {
   const std::string lockstep = fly(0);
   EXPECT_EQ(lockstep, fly(1));
   EXPECT_EQ(lockstep, fly(2));
+}
+
+TEST(WorldExtraDeathTest, DuplicateModuleIdIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto module = [](std::string partition) {
+    return simple_module(7, std::move(partition),
+                         ScriptBuilder{}.compute(1).build(), {}, {});
+  };
+  system::World world;
+  world.add_module(module("A"));
+  EXPECT_DEATH(world.add_module(module("B")), "duplicate module id");
 }
 
 }  // namespace

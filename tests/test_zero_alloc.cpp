@@ -22,6 +22,8 @@
 
 #include "config/fig8.hpp"
 #include "ipc/payload.hpp"
+#include "pos/generic_kernel.hpp"
+#include "pos/rt_kernel.hpp"
 #include "system/module.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -36,7 +38,7 @@
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 
-std::uint64_t allocation_count() {
+[[maybe_unused]] std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 }  // namespace
@@ -126,6 +128,28 @@ TEST(ZeroAlloc, ArenaHitsDoNotAllocate) {
     arena.intern("job");
   }
   EXPECT_EQ(allocation_count(), before);
+#endif
+}
+
+TEST(ZeroAlloc, ConstructingAKernelDoesNotAllocate) {
+#ifdef AIR_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocation counting is owned by the sanitizer runtime";
+#else
+  // Every partition builds one kernel; its ready list starts empty and is
+  // sized by create_process, so an empty kernel owns no heap memory.
+  std::size_t depth = 0;
+  const std::uint64_t before = allocation_count();
+  {
+    pos::RtKernel rt;
+    pos::GenericKernel generic;
+    // Keep the optimizer from eliding the constructions.
+    asm volatile("" : : "r"(&rt), "r"(&generic) : "memory");
+    depth = rt.ready_depth() + generic.ready_depth();
+  }
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after, before)
+      << "constructing a POS kernel allocated on the host heap";
+  EXPECT_EQ(depth, 0u);
 #endif
 }
 
