@@ -104,7 +104,7 @@ void Bus::send(ModuleId from, const ipc::RemotePortRef& dest,
         static_cast<std::int64_t>(message.payload.size()));
     frame.message.ctx.parent_span = frame.span;
   }
-  s.tx_queue.push_back(std::move(frame));
+  s.tx_queue.push(std::move(frame));
   ++pending_total_;
   mark_active(it->second);
   ++s.sent;
@@ -134,8 +134,7 @@ void Bus::transmit_from(std::size_t owner_index, Ticks now) {
         break;
       }
     }
-    Frame frame = std::move(owner.tx_queue.front());
-    owner.tx_queue.pop_front();
+    Frame frame = owner.tx_queue.pop();
     --pending_total_;
     Ticks deliver_at = now + config_.propagation_delay;
     if (frame.vl != kNoVl) {

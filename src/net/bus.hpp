@@ -27,12 +27,12 @@
 // maintained counter; idle_ticks() is O(1) off the in-flight heap;
 // next_delivery() is O(active stations), never O(attached stations);
 // in_flight_ is a (deliver_at, transmit order) min-heap, not a scanned
-// deque. station_stats() fills a caller-provided buffer so digest-window
-// sampling allocates nothing in the steady state.
+// deque. station_stats() fills a caller-provided buffer and tx queues keep
+// their storage, so neither digest-window sampling nor a steady stream of
+// sends allocates.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -220,10 +220,41 @@ class Bus {
     Ticks deliver_at{0};
     std::uint64_t seq{0};  // transmit order; FIFO tie-break in the heap
   };
+  /// A station's FIFO of frames awaiting its slot. It keeps its storage:
+  /// a pop advances a head index, the vector is cleared (capacity kept)
+  /// when the queue drains, and a push that would regrow the vector first
+  /// drops the popped prefix, so a steady send/transmit cycle allocates
+  /// nothing and a standing backlog needs at most twice its size.
+  class TxQueue {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == frames_.size(); }
+    [[nodiscard]] std::size_t size() const { return frames_.size() - head_; }
+    [[nodiscard]] Frame& front() { return frames_[head_]; }
+    void push(Frame frame) {
+      if (head_ > 0 && frames_.size() == frames_.capacity()) {
+        frames_.erase(frames_.begin(),
+                      frames_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      frames_.push_back(std::move(frame));
+    }
+    [[nodiscard]] Frame pop() {
+      Frame frame = std::move(frames_[head_++]);
+      if (empty()) {
+        frames_.clear();
+        head_ = 0;
+      }
+      return frame;
+    }
+
+   private:
+    std::vector<Frame> frames_;
+    std::size_t head_{0};
+  };
   struct Station {
     ModuleId module;
     DeliverFn deliver;
-    std::deque<Frame> tx_queue;
+    TxQueue tx_queue;
     std::uint64_t sent{0};       // frames enqueued here
     std::uint64_t delivered{0};  // frames delivered into this station
     std::size_t switch_index{0};

@@ -526,33 +526,16 @@ std::size_t Module::core_of(PartitionId partition) const {
 }
 
 void Module::run(Ticks ticks) {
-  if (ticks <= 0) return;  // explicit no-op
-  Ticks done = 0;
-  while (done < ticks && !stopped_) done += advance_at_most(ticks - done);
+  Deferral deferral;
+  advance(ticks, deferral);
+  settle(deferral);
 }
 
 void Module::run_until(Ticks time) {
   if (time <= now()) return;  // explicit no-op for now/past targets
-  while (now() < time && !stopped_) advance_at_most(time - now());
-}
-
-Ticks Module::advance_at_most(Ticks limit) {
-  if (time_warp_) {
-    const Ticks headroom = warp_headroom();
-    const Ticks n = std::min(headroom, limit);
-    if (n > 0) {
-      warp_advance(n);
-      // A span cut short by `limit` ends on a tick the next scan may warp.
-      if (n < headroom || n == limit) return n;
-      // The span used all of its headroom, so the tick after it is where
-      // something happens: step it without scanning again (stepping is
-      // always exact).
-      tick_once();
-      return n + 1;
-    }
-  }
-  tick_once();
-  return 1;
+  // Counted from the scheduler's counter, which sits at -1 before the boot
+  // tick: the boot tick is one more tick to run.
+  run(time - cores_.front().scheduler.ticks());
 }
 
 PartitionId Module::partition_id(std::string_view name) const {

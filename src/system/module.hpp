@@ -65,7 +65,7 @@ class Module {
 
   /// Advance the module by `ticks` clock ticks (no-op once stopped or when
   /// `ticks` <= 0). Quiescent spans are fast-forwarded by the time-warp
-  /// engine when enabled.
+  /// engine when enabled: advance() then settle() on a fresh Deferral.
   void run(Ticks ticks);
 
   /// Advance until the module clock reaches `time` (no-op when `time` is
@@ -92,26 +92,69 @@ class Module {
   [[nodiscard]] bool time_warp_enabled() const { return time_warp_; }
   [[nodiscard]] const WarpStats& warp_stats() const { return warp_stats_; }
 
-  /// Number of upcoming ticks that are provably boring: the module is
-  /// quiescent (each active partition either has nothing runnable or keeps
-  /// re-electing a running process inside a compute op that does not
-  /// complete in the span; no pending context switch, no router backlog,
-  /// no pending telemetry sample) and no layer has an event before
-  /// now() + headroom + 1. Returns 0 when any of that fails, when the
-  /// module is stopped or not yet booted, or when the per-tick host
-  /// profiler is enabled (it observes every stepped tick).
-  [[nodiscard]] Ticks warp_headroom() const;
+  /// Both bounds of one quiescence scan, counted in ticks after now().
+  struct Quiescence {
+    /// Ticks in which nothing runs: 0 whenever an active partition has
+    /// runnable work. The World paces its epochs by it, since an idle
+    /// module cannot send (World::epoch_horizon).
+    Ticks idle{0};
+    /// Ticks that are provably boring: the module is quiescent (each
+    /// active partition either has nothing runnable or keeps re-electing a
+    /// running process inside a compute op that does not complete in the
+    /// span; no pending context switch, no router backlog, no pending
+    /// telemetry sample) and no layer has an event before now() + warp + 1.
+    /// Equals `idle` when nothing is runnable.
+    Ticks warp{0};
+  };
 
-  /// warp_headroom() without compute spans: 0 whenever an active partition
-  /// has runnable work. It bounds the ticks in which the module is idle,
-  /// which is what the World paces its epochs by (World::epoch_horizon).
-  [[nodiscard]] Ticks idle_headroom() const;
+  /// The quiescence scan. Both bounds are 0 when the module is stopped or
+  /// not yet booted, or when the per-tick host profiler is enabled (it
+  /// observes every stepped tick).
+  [[nodiscard]] Quiescence quiescence() const;
+
+  /// The scan's warp bound: how far warp_advance() may go from here.
+  [[nodiscard]] Ticks warp_headroom() const { return quiescence().warp; }
+
+  /// A warp span carried across advance() calls. Ticks the module has
+  /// logically advanced through but not yet applied are `owed`; they are
+  /// settled in one warp_advance() when the span really ends. The World
+  /// keeps one per module in a hot column (DESIGN.md §8, §13); run() uses
+  /// a local one.
+  struct Deferral {
+    static constexpr Ticks kUnscanned = -1;
+    Ticks owed{0};                // ticks advanced but not yet warped
+    Ticks headroom{kUnscanned};   // scan's warp bound at now()
+    bool runnable{false};         // scan's idle bound was 0
+    [[nodiscard]] bool scanned() const { return headroom != kUnscanned; }
+    /// Idle bound from the module's logical time, now() + owed. Valid
+    /// only when scanned(): the module is idle for the rest of the span it
+    /// was scanned in, as nothing happens inside a warp span.
+    [[nodiscard]] Ticks idle() const { return runnable ? 0 : headroom - owed; }
+  };
+
+  /// Fill `deferral` from one quiescence scan at now(). Only called with
+  /// nothing owed.
+  void scan(Deferral& deferral) const;
+
+  /// Advance by `span` ticks from the logical time now() + owed. Ticks the
+  /// scanned headroom still covers are added to `owed`; past it, the loop
+  /// settles owed + the rest of the headroom, steps the event tick and
+  /// rescans (time warp on; off, every tick is stepped). Stops early once
+  /// the module stops.
+  void advance(Ticks span, Deferral& deferral);
+
+  /// Apply the owed ticks (one warp_advance) and forget the scan. Required
+  /// before anything else reads or changes the module's state.
+  void settle(Deferral& deferral);
 
   /// Fast-forward the module by `n` boring ticks in O(1): bulk-advance the
   /// HAL clock, every core's scheduler/dispatcher and the active
   /// partitions' PAL/POS, replicating exactly the per-tick counter effects
   /// of `n` quiescent tick_once() calls. `n` must not exceed
-  /// warp_headroom() (layer asserts enforce it).
+  /// warp_headroom() (layer asserts enforce it). Spans compose:
+  /// warp_advance(a) then warp_advance(b) equals warp_advance(a + b) when
+  /// a + b is within the first scan's headroom, which is what lets
+  /// advance() defer them.
   void warp_advance(Ticks n);
 
   /// Module time. The scheduler's counter sits at -1 before the first tick
@@ -234,12 +277,6 @@ class Module {
   void wire_partition(PartitionId id);
   void apply_pending_change_action(PartitionId id);
   void step_active_partition(PartitionId id, Ticks elapsed);
-  /// One warp span (when enabled) plus the stepped tick that ends it, or
-  /// one stepped tick; never more than `limit` (> 0) ticks. Returns the
-  /// ticks advanced. The shared core of run() and run_until().
-  Ticks advance_at_most(Ticks limit);
-  /// warp_headroom() when `compute_spans`, else idle_headroom().
-  [[nodiscard]] Ticks headroom(bool compute_spans) const;
   /// Walk the span recorder's causal caches backwards from a just-detected
   /// deadline miss and attach the root-cause chain (Algorithm 3 hook).
   void build_miss_anomaly(PartitionId id, ProcessId pid, Ticks deadline,
@@ -255,7 +292,7 @@ class Module {
   telemetry::StringArena arena_;
   util::Trace trace_;
   telemetry::MetricsRegistry metrics_;
-  // Mutable: the warp scan (const warp_headroom()) carries a profiler
+  // Mutable: the warp scan (const quiescence()) carries a profiler
   // scope; host-time accounting is not module state.
   mutable telemetry::HostProfiler profiler_;
   telemetry::SpanRecorder spans_;

@@ -18,7 +18,10 @@
 // suite in tests/test_time_warp.cpp): executing warp_advance(n) from a
 // quiescent state with n <= warp_headroom() leaves every observable bit of
 // module state -- metrics snapshots, trace/flight-recorder contents, APEX
-// process state -- identical to n calls of tick_once().
+// process state -- identical to n calls of tick_once(). Hence warp_advance
+// (a) then warp_advance(b) equals warp_advance(a + b) within one scan's
+// headroom, and advance() may owe ticks across calls and settle them in
+// one span (a World epoch end does not cut a span).
 //
 // Why schedule switches cannot be skipped: a pending SET_MODULE_SCHEDULE
 // takes effect at an MTF boundary (phase 0), and every compiled table has a
@@ -33,12 +36,8 @@
 
 namespace air::system {
 
-Ticks Module::warp_headroom() const { return headroom(true); }
-
-Ticks Module::idle_headroom() const { return headroom(false); }
-
-Ticks Module::headroom(bool compute_spans) const {
-  if (stopped_) return 0;
+Module::Quiescence Module::quiescence() const {
+  if (stopped_) return {};
   // The scan itself is a per-tick host cost worth attributing: run it
   // under a profiler scope even though an enabled profiler then forces
   // stepping (below) -- warping would skip ticks the profiler wants to
@@ -47,19 +46,20 @@ Ticks Module::headroom(bool compute_spans) const {
       profiler_, telemetry::ProfilePoint::kWarpScan);
   // Boot tick not executed yet: the time-0 preemption point is ahead.
   const Ticks t = cores_.front().scheduler.ticks();
-  if (t < 0) return 0;
+  if (t < 0) return {};
   // A queuing backlog would move a message or refresh its depth gauge.
-  if (!router_.quiescent()) return 0;
+  if (!router_.quiescent()) return {};
 
   Ticks next_event = kInfiniteTime;
   // Compute spans bound the headroom as a tick count, never as an absolute
   // time: t + r would overflow for compute lengths near kInfiniteTime.
   Ticks compute = kInfiniteTime;
+  bool runnable = false;
   for (const Core& core : cores_) {
     // A not-yet-dispatched heir means the next tick context-switches.
     if (core.scheduler.heir_partition() !=
         core.dispatcher->active_partition()) {
-      return 0;
+      return {};
     }
     next_event = std::min(next_event, core.scheduler.next_preemption_point());
 
@@ -74,11 +74,12 @@ Ticks Module::headroom(bool compute_spans) const {
     const pal::Pal& p = *partitions_[static_cast<std::size_t>(active.value())]
                              .pal;
     // Runnable work: only ticks in which the executor re-elects the
-    // running process and advances its compute op may be spanned.
+    // running process and advances its compute op may be spanned, and
+    // the module is not idle at all.
     if (p.kernel().ready_depth() != 0) {
-      if (!compute_spans) return 0;
+      runnable = true;
       compute = std::min(compute, Executor::compute_headroom(p));
-      if (compute == 0) return 0;
+      if (compute == 0) return {};
     }
     next_event = std::min(next_event, p.next_attention_tick());
   }
@@ -97,11 +98,46 @@ Ticks Module::headroom(bool compute_spans) const {
 
   // An enabled profiler observes every stepped tick; report zero headroom
   // *after* the scan so the scan's own cost is still attributed.
-  if (profiler_.enabled()) return 0;
+  if (profiler_.enabled()) return {};
 
   // Ticks t+1 .. next_event-1 are boring; the event tick itself is stepped.
-  const Ticks headroom = std::min(next_event - t - 1, compute);
-  return headroom > 0 ? headroom : 0;
+  const Ticks quiet = std::max<Ticks>(next_event - t - 1, 0);
+  return {runnable ? 0 : quiet, std::min(quiet, compute)};
+}
+
+void Module::scan(Deferral& deferral) const {
+  AIR_ASSERT(deferral.owed == 0);
+  const Quiescence q = quiescence();
+  deferral.headroom = q.warp;
+  deferral.runnable = q.idle == 0;
+}
+
+void Module::advance(Ticks span, Deferral& deferral) {
+  while (span > 0 && !stopped_) {
+    Ticks room = 0;
+    if (time_warp_) {
+      if (!deferral.scanned()) scan(deferral);
+      room = deferral.headroom - deferral.owed;
+      // The whole span is boring: owe it, so that a span cut by the
+      // caller (an epoch end) still costs one scan and one warp.
+      if (span <= room) {
+        deferral.owed += span;
+        return;
+      }
+    }
+    // The headroom runs out inside the span: warp through it in one go and
+    // step the event tick after it without scanning again (stepping is
+    // always exact).
+    warp_advance(deferral.owed + room);
+    deferral = {};
+    span -= room + 1;
+    tick_once();
+  }
+}
+
+void Module::settle(Deferral& deferral) {
+  warp_advance(deferral.owed);
+  deferral = {};
 }
 
 void Module::warp_advance(Ticks n) {

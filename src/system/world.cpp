@@ -25,6 +25,7 @@ Module& World::add_module(ModuleConfig config) {
   Module& module = *modules_.back();
   mods_.push_back(&module);
   live_.push_back(1);
+  deferral_.emplace_back();
   staged_dirty_.push_back(0);
   ++live_count_;
   // Telemetry state must be module-confined: workers advance modules
@@ -47,10 +48,14 @@ Module& World::add_module(ModuleConfig config) {
     staged_[index].push_back({mods_[index]->now(), dest, message, kind});
     staged_dirty_[index] = 1;  // own lane's byte: race-free under the pool
   };
-  bus_.attach(id, [&module](PartitionId partition, const std::string& port,
-                            const ipc::Message& message,
-                            ipc::ChannelKind kind) {
-    module.deliver_remote(partition, port, message, kind);
+  // A delivery ends the destination's deferred warp span: the owed ticks
+  // are applied before the frame changes its state.
+  bus_.attach(id, [this, index](PartitionId partition, const std::string& port,
+                                const ipc::Message& message,
+                                ipc::ChannelKind kind) {
+    Module& destination = *mods_[index];
+    destination.settle(deferral_[index]);
+    destination.deliver_remote(partition, port, message, kind);
   });
   return module;
 }
@@ -102,7 +107,7 @@ void World::set_workers(std::size_t workers) {
   pool_.reset();
 }
 
-Ticks World::epoch_horizon(Ticks limit) const {
+Ticks World::epoch_horizon(Ticks limit) {
   AIR_ASSERT(limit > 0);
   Ticks horizon = limit;
   // Pre-existing traffic: nothing already queued or in flight may arrive
@@ -117,11 +122,15 @@ Ticks World::epoch_horizon(Ticks limit) const {
   // A compute span would bound emissions too, but epochs are paced by idle
   // spans only: that keeps the epoch structure of the idle-only warp rule,
   // and perfbench's traced world pass needs it (it expects >= 1000 epochs
-  // from 10'000 ticks). Modules still warp compute spans inside an epoch.
+  // from 10'000 ticks). Modules still warp compute spans across epochs.
+  // A deferred module's q comes from its column, without a rescan; any
+  // other is scanned here once, and advance() reuses that scan.
   const Ticks delay = bus_.config().propagation_delay;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_[i] == 0) continue;
-    const Ticks quiet = mods_[i]->idle_headroom();
+    Module::Deferral& deferral = deferral_[i];
+    if (!deferral.scanned()) mods_[i]->scan(deferral);
+    const Ticks quiet = deferral.idle();
     if (quiet >= kInfiniteTime - delay - 1) continue;  // no constraint
     horizon = std::min(horizon, quiet + delay + 1);
   }
@@ -213,13 +222,14 @@ void World::run(Ticks ticks) {
     if (pooled) {
       // Workers read the live byte (frozen during the epoch) to skip dead
       // lanes without touching the module row.
+      // Lane i writes only deferral_[i].
       const auto task = [this, span](std::size_t i) {
-        if (live_[i] != 0) mods_[i]->run(span);
+        if (live_[i] != 0) mods_[i]->advance(span, deferral_[i]);
       };
       pool_->run(mods_.size(), task);
     } else {
       for (std::size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i] != 0) mods_[i]->run(span);
+        if (live_[i] != 0) mods_[i]->advance(span, deferral_[i]);
       }
     }
     {
@@ -232,6 +242,11 @@ void World::run(Ticks ticks) {
     ++stats_.epochs;
     stats_.epoch_ticks += static_cast<std::uint64_t>(span);
     stats_.module_ticks += active * static_cast<std::uint64_t>(span);
+  }
+  // No module owes ticks between calls: callers may read or change any
+  // module (and run_lockstep() never defers).
+  for (std::size_t i = 0; i < mods_.size(); ++i) {
+    mods_[i]->settle(deferral_[i]);
   }
 }
 

@@ -15,7 +15,10 @@
 //    remote sends are staged into per-module queues, then merges the
 //    staged frames into the bus in (tick, module attach order) and replays
 //    the bus across the epoch. Staging keeps TDMA arbitration and bus span
-//    numbering independent of thread interleaving. See DESIGN.md section 8.
+//    numbering independent of thread interleaving. A module's warp span
+//    is carried across epoch ends as owed ticks (Module::Deferral), settled
+//    when the span ends, when a frame is delivered to the module, or when
+//    run() returns. See DESIGN.md section 8.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +129,9 @@ class World {
 
   /// Safe epoch length in [1, limit]: no bus delivery (from in-flight or
   /// queued frames, nor from anything a module could send this epoch) can
-  /// land before the epoch's final tick. Scans only live modules.
-  [[nodiscard]] Ticks epoch_horizon(Ticks limit) const;
+  /// land before the epoch's final tick. Reads only live modules, and
+  /// scans only those with no valid headroom in deferral_.
+  [[nodiscard]] Ticks epoch_horizon(Ticks limit);
 
   /// Demote live_ bits for modules that stopped since the last refresh
   /// (stopping is monotone, so a cleared bit never needs rechecking).
@@ -167,6 +171,12 @@ class World {
   // arrays, not a pointer chase over unique_ptrs:
   std::vector<Module*> mods_;        // flat pointers, attach order
   std::vector<std::uint8_t> live_;   // 1 = not stopped (monotone 1 -> 0)
+  /// Each module's warp span carried across epochs: owed ticks, scanned
+  /// headroom, runnable bit (Module::Deferral). One entry holds all three
+  /// because the horizon, advance() and settle() read them together. The
+  /// horizon reads a deferred module's idle bound here without rescanning
+  /// it; a bus delivery and the end of run() settle the owed ticks.
+  std::vector<Module::Deferral> deferral_;
   /// 1 = staged_[i] is non-empty. Byte i is written only by the lane
   /// advancing module i (its own staging queue), so the column is safe
   /// under the pooled epoch driver and lets the merge/injection loops skip

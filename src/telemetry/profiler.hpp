@@ -44,7 +44,7 @@ enum class ProfilePoint : std::uint8_t {
   kPal,              // surrogate clock-tick announce + deadline checks
   kExecutor,         // process script interpretation
   kKernelDispatch,   // pos/dispatch.hpp sealed kernel fast path
-  kWarpScan,         // time-warp quiescence scan (Module::warp_headroom)
+  kWarpScan,         // time-warp quiescence scan (Module::quiescence)
   kOnlineClose,      // online SLO plane window close
   kTelemetryScrape,  // metrics_snapshot() batched counter scrape
   kEpoch,            // World parallel epoch (root of the World tree)

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "config/busy_world.hpp"
 #include "config/fig8.hpp"
 #include "pos/workload.hpp"
 #include "system/module.hpp"
@@ -375,6 +376,112 @@ TEST(ParallelWorld, EpochsFastForwardIdleWorlds) {
   EXPECT_EQ(stats.epoch_ticks, 50'000u);
   EXPECT_LT(stats.epochs, 30'000u)
       << "horizon never exceeded one tick; idle spans are not amortized";
+}
+
+TEST(ParallelWorld, EpochsDoNotCutWarpSpans) {
+  // A module alone in a World is cut into short epochs (runnable work
+  // paces them at propagation_delay + 1 ticks) but carries its warp spans
+  // across them, so it warps exactly like the same module run on its own.
+  system::ModuleConfig config = scenarios::busy_module(0, 1);
+  config.channels.clear();
+  system::World world(scenarios::busy_world_bus());
+  system::Module& in_world = world.add_module(config);
+  system::Module standalone(config);
+  for (int chunk = 0; chunk < 10; ++chunk) {
+    world.run(1'000);
+    standalone.run(1'000);
+  }
+  EXPECT_GT(world.stats().epochs, 1'000u) << "epochs must cut the chunks";
+  const system::Module::WarpStats& a = in_world.warp_stats();
+  const system::Module::WarpStats& b = standalone.warp_stats();
+  EXPECT_EQ(a.warp_spans, b.warp_spans);
+  EXPECT_EQ(a.warped_ticks, b.warped_ticks);
+  EXPECT_EQ(a.stepped_ticks, b.stepped_ticks);
+  EXPECT_GT(a.warped_ticks, a.stepped_ticks);
+  EXPECT_EQ(util::to_json(in_world.trace()), util::to_json(standalone.trace()));
+  EXPECT_EQ(apex_visible_state(in_world), apex_visible_state(standalone));
+}
+
+TEST(ParallelWorld, DeliveryIntoADeferredModuleIsByteIdentical) {
+  // The receiver crunches 400-tick compute ops, so it stays runnable and
+  // paces 4-tick epochs while owing ticks across dozens of them. Every
+  // 137 ticks the sender's frame lands on it mid-span and wakes a blocked
+  // listener: the delivery must first settle the owed ticks.
+  const auto fly = [](Driver driver, std::size_t workers,
+                      system::World::Stats* stats = nullptr) {
+    system::ModuleConfig sender;
+    sender.id = ModuleId{0};
+    sender.name = "sender";
+    system::PartitionConfig tx;
+    tx.name = "TX";
+    tx.queuing_ports.push_back({"QOUT", ipc::PortDirection::kSource, 64, 8,
+                                ipc::QueuingDiscipline::kFifo});
+    system::ProcessConfig talker;
+    talker.attrs.name = "talker";
+    talker.attrs.priority = 10;
+    talker.attrs.script = ScriptBuilder{}
+                              .queuing_send(0, "ping", 0)
+                              .timed_wait(137)
+                              .jump(0)
+                              .build();
+    tx.processes.push_back(std::move(talker));
+    sender.partitions.push_back(std::move(tx));
+    ipc::ChannelConfig link;
+    link.id = ChannelId{0};
+    link.kind = ipc::ChannelKind::kQueuing;
+    link.source = {PartitionId{0}, "QOUT"};
+    link.remote_destinations = {{ModuleId{1}, PartitionId{0}, "QIN"}};
+    sender.channels.push_back(std::move(link));
+    sender.schedules = {round_robin(ScheduleId{0}, 1, 1'000)};
+
+    system::ModuleConfig receiver;
+    receiver.id = ModuleId{1};
+    receiver.name = "receiver";
+    system::PartitionConfig rx;
+    rx.name = "RX";
+    rx.queuing_ports.push_back({"QIN", ipc::PortDirection::kDestination, 64,
+                                8, ipc::QueuingDiscipline::kFifo});
+    system::ProcessConfig listener;
+    listener.attrs.name = "listener";
+    listener.attrs.priority = 5;
+    listener.attrs.script =
+        ScriptBuilder{}.queuing_receive(0).log("got").jump(0).build();
+    rx.processes.push_back(std::move(listener));
+    system::ProcessConfig cruncher;
+    cruncher.attrs.name = "cruncher";
+    cruncher.attrs.priority = 20;
+    cruncher.attrs.script = ScriptBuilder{}.compute(400).jump(0).build();
+    rx.processes.push_back(std::move(cruncher));
+    receiver.partitions.push_back(std::move(rx));
+    receiver.schedules = {round_robin(ScheduleId{0}, 1, 1'000)};
+
+    system::World world(
+        {.slot_length = 4, .frames_per_slot = 1, .propagation_delay = 3});
+    world.add_module(std::move(sender));
+    world.add_module(std::move(receiver));
+    if (driver == Driver::kEpochPooled) world.set_workers(workers);
+    for (int chunk = 0; chunk < 3; ++chunk) {
+      driver == Driver::kLockstep ? world.run_lockstep(1'000)
+                                  : world.run(1'000);
+    }
+    if (stats != nullptr) {
+      *stats = world.stats();
+      // Deferred across epochs: the receiver warps far fewer spans than
+      // there are epochs, each span spanning many of them.
+      EXPECT_LT(world.module(1).warp_stats().warp_spans * 4, stats->epochs);
+      EXPECT_GE(world.bus().stats().frames_delivered, 20u);
+    }
+    return fingerprint(world);
+  };
+  const std::string reference = fly(Driver::kLockstep, 1);
+  EXPECT_NE(reference.find("got"), std::string::npos);
+  system::World::Stats stats;
+  EXPECT_EQ(reference, fly(Driver::kEpochInline, 1, &stats));
+  EXPECT_GT(stats.epochs, 500u);
+  for (std::size_t workers : {2u, 4u}) {
+    EXPECT_EQ(reference, fly(Driver::kEpochPooled, workers))
+        << workers << " workers";
+  }
 }
 
 }  // namespace
